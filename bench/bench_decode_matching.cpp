@@ -2,8 +2,8 @@
 // strategies on fixed pre-sampled workloads, so decoder-side regressions show
 // up in the BENCH_DECODE.json trend line independently of the Monte Carlo
 // physics sweeps in E14.
-//   2D: L=8 toric lattice at p = 0.08 (near the greedy threshold, mean ~14
-//       defects — the exact-DP regime with occasional union-find fallbacks)
+//   2D: L=8 toric lattice at p = 0.08 (near the greedy threshold, mean ~16
+//       defects), one perfect snapshot decoded as a one-round history
 //   3D: L=6, T=6 rounds of phenomenological noise at p = q = 0.02
 #include <chrono>
 #include <cstdio>
@@ -14,7 +14,6 @@
 #include "common/rng.h"
 #include "common/table.h"
 #include "decode/blossom.h"
-#include "decode/decoder.h"
 #include "decode/matching.h"
 #include "decode/spacetime.h"
 #include "topo/toric_code.h"
@@ -24,11 +23,11 @@ namespace {
 using namespace ftqc;
 using Clock = std::chrono::steady_clock;
 
-double decodes_per_sec(const decode::Decoder& dec,
+double decodes_per_sec(const decode::SpacetimeToricDecoder& dec,
                        const std::vector<gf2::BitVec>& syndromes) {
   const auto start = Clock::now();
   size_t sink = 0;
-  for (const gf2::BitVec& s : syndromes) sink += dec.decode(s).popcount();
+  for (const gf2::BitVec& s : syndromes) sink += dec.decode({s}).popcount();
   const double seconds =
       std::chrono::duration<double>(Clock::now() - start).count();
   // Fold the sink into the result's noise floor so the loop cannot be
@@ -62,16 +61,12 @@ int main(int argc, char** argv) {
   }
 
   const auto greedy = std::make_shared<const decode::GreedyMatching>();
-  const auto mwpm = std::make_shared<const decode::MwpmMatching>();
   const auto blossom = std::make_shared<const decode::BlossomMatching>();
-  const decode::ToricMatchingDecoder greedy_dec(
+  const decode::SpacetimeToricDecoder greedy_dec(
       code, decode::ToricSide::kPlaquette, greedy);
-  const decode::ToricMatchingDecoder mwpm_dec(
-      code, decode::ToricSide::kPlaquette, mwpm);
-  const decode::ToricMatchingDecoder blossom_dec(
+  const decode::SpacetimeToricDecoder blossom_dec(
       code, decode::ToricSide::kPlaquette, blossom);
   const double greedy_rate = decodes_per_sec(greedy_dec, syndromes);
-  const double mwpm_rate = decodes_per_sec(mwpm_dec, syndromes);
   const double blossom_rate = decodes_per_sec(blossom_dec, syndromes);
 
   // Space-time: time whole phenomenological shots (T noisy rounds + decode);
@@ -96,7 +91,6 @@ int main(int argc, char** argv) {
 
   ftqc::Table table({"decoder", "workload", "decodes/sec"});
   table.add_row({"greedy", "2D L=8 p=0.08", ftqc::strfmt("%.3g", greedy_rate)});
-  table.add_row({"mwpm", "2D L=8 p=0.08", ftqc::strfmt("%.3g", mwpm_rate)});
   table.add_row(
       {"blossom", "2D L=8 p=0.08", ftqc::strfmt("%.3g", blossom_rate)});
   table.add_row({"spacetime blossom", "3D L=6 T=6 p=q=0.02",
@@ -107,7 +101,6 @@ int main(int argc, char** argv) {
 
   ftqc::bench::JsonResult json;
   json.add("greedy_decodes_per_sec", greedy_rate);
-  json.add("mwpm_decodes_per_sec", mwpm_rate);
   json.add("blossom_decodes_per_sec", blossom_rate);
   json.add("spacetime_shots_per_sec", st_rate);
   json.add("mean_defects_2d",

@@ -33,7 +33,6 @@
 #include "common/table.h"
 #include "decode/batch_decode.h"
 #include "decode/blossom.h"
-#include "decode/decoder.h"
 #include "decode/dem.h"
 #include "decode/matching.h"
 #include "decode/spacetime.h"
@@ -49,16 +48,17 @@ namespace {
 
 using namespace ftqc;
 
-// 2D memory shot: iid X noise, one perfect syndrome snapshot, decode, check
-// the residual against both logical Z loops.
-bool memory_shot_2d(const topo::ToricCode& code, const decode::Decoder& dec,
-                    double p, Rng& rng) {
+// 2D memory shot: iid X noise, one perfect syndrome snapshot decoded as a
+// one-round trusted history, check the residual against both logical Z loops.
+bool memory_shot_2d(const decode::SpacetimeToricDecoder& dec, double p,
+                    Rng& rng) {
+  const topo::ToricCode& code = dec.code();
   gf2::BitVec errors(code.num_qubits());
   for (size_t e = 0; e < code.num_qubits(); ++e) {
     if (rng.bernoulli(p)) errors.set(e, true);
   }
   gf2::BitVec residual = errors;
-  residual ^= dec.decode(code.plaquette_syndrome(errors));
+  residual ^= dec.decode({code.plaquette_syndrome(errors)});
   const auto [f1, f2] = code.logical_x_flips(residual);
   return f1 || f2;
 }
@@ -72,10 +72,8 @@ bool memory_shot_2d(const topo::ToricCode& code, const decode::Decoder& dec,
 // schedule-independent). Returns the full Proportion rather than a bare rate
 // so the threshold fit can tell "0 failures in n shots" apart from "never
 // measured".
-Proportion failure_rate_2d(const topo::ToricCode& code,
-                           const decode::Decoder& dec,
-                           const decode::SpacetimeToricDecoder& batch_dec,
-                           double p, size_t shots, uint64_t seed,
+Proportion failure_rate_2d(const decode::SpacetimeToricDecoder& dec, double p,
+                           size_t shots, uint64_t seed,
                            sim::ShotEngine engine) {
   sim::ShotPlan plan;
   plan.shots = shots;
@@ -87,10 +85,10 @@ Proportion failure_rate_2d(const topo::ToricCode& code,
   const auto result = runner.run(
       [&](uint64_t shot_seed) {
         Rng rng(shot_seed);
-        return memory_shot_2d(code, dec, p, rng);
+        return memory_shot_2d(dec, p, rng);
       },
       [&](uint64_t block_seed, size_t n) {
-        return decode::batch_memory_2d_failures(batch_dec, p, n, block_seed);
+        return decode::batch_memory_2d_failures(dec, p, n, block_seed);
       });
   return result.proportion();
 }
@@ -190,10 +188,9 @@ int main(int argc, char** argv) {
   constexpr uint64_t kSeed2d[] = {11, 13, 17};
 
   const auto greedy = std::make_shared<const decode::GreedyMatching>();
-  // Blossom replaced the subset-DP + union-find MwpmMatching as the "mwpm"
-  // contender: exact at ANY defect count, so the high-p / large-L points
-  // that used to fall back to greedy-inside-clusters now get the true
-  // optimum (the ~0.097 -> ~0.103 threshold gap of PR 4's fallback).
+  // The "mwpm" contender is the blossom matcher: an exact minimum-weight
+  // perfect matching at ANY defect count, so the high-p / large-L points get
+  // the true optimum (optimal matching's threshold is ~0.103).
   const auto mwpm = std::make_shared<const decode::BlossomMatching>();
   struct Strategy {
     const char* key;  // sweep-point id component
@@ -215,18 +212,14 @@ int main(int argc, char** argv) {
   const std::vector<double> circuit_grid = {0.024, 0.020, 0.016, 0.013,
                                             0.010, 0.008, 0.006};
 
-  // Decoders outlive the sweep: points capture them by reference.
-  std::deque<decode::ToricMatchingDecoder> decoders;
-  // Spacetime twins of the 2D decoders for the batched block path (same
-  // strategy; with a single trusted round and unit space weight the metric
-  // and defect order match ToricMatchingDecoder exactly).
-  std::deque<decode::SpacetimeToricDecoder> batch_decoders;
+  // Decoders outlive the sweep: points capture them by reference. One
+  // decoder per (strategy, L) serves both the serial shot path (a one-round
+  // history per shot) and the batched block path.
+  std::deque<decode::SpacetimeToricDecoder> decoders;
   for (const Strategy& strat : strategies) {
     for (const ToricCode* code : codes) {
       decoders.emplace_back(*code, decode::ToricSide::kPlaquette,
                             strat.matching);
-      batch_decoders.emplace_back(*code, decode::ToricSide::kPlaquette,
-                                  strat.matching);
     }
   }
   const decode::SpacetimeToricDecoder st4(code4, decode::ToricSide::kPlaquette,
@@ -260,13 +253,11 @@ int main(int argc, char** argv) {
   };
   for (size_t s = 0; s < strategies.size(); ++s) {
     for (size_t l = 0; l < 3; ++l) {
-      const decode::ToricMatchingDecoder& dec = decoders[s * 3 + l];
-      const decode::SpacetimeToricDecoder& batch_dec = batch_decoders[s * 3 + l];
+      const decode::SpacetimeToricDecoder& dec = decoders[s * 3 + l];
       for (const double p : p_grid) {
         add_point(ftqc::strfmt("%s_L%zu_p%.3f", strategies[s].key, kL[l], p),
                   [&, p, l] {
-                    return failure_rate_2d(*codes[l], dec, batch_dec, p, shots,
-                                           kSeed2d[l], engine);
+                    return failure_rate_2d(dec, p, shots, kSeed2d[l], engine);
                   });
       }
     }

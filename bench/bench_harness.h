@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/cli.h"
 #include "sim/shot_runner.h"
 #include "sim/sweep_scheduler.h"
 
@@ -91,10 +92,9 @@ inline void init(int argc, char** argv, const char* name,
     } else if (std::strncmp(arg, "--checkpoint-dir=", 17) == 0) {
       opts.checkpoint_dir = arg + 17;
     } else if (std::strncmp(arg, "--workers=", 10) == 0) {
-      opts.workers = static_cast<size_t>(std::strtoull(arg + 10, nullptr, 10));
+      opts.workers = parse_count_flag("--workers", arg + 10);
     } else if (std::strncmp(arg, "--max-points=", 13) == 0) {
-      opts.max_points =
-          static_cast<size_t>(std::strtoull(arg + 13, nullptr, 10));
+      opts.max_points = parse_count_flag("--max-points", arg + 13);
     } else if (std::strncmp(arg, "--engine=", 9) == 0 &&
                !opts.supported_engines.empty()) {
       opts.engine = arg + 9;

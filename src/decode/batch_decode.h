@@ -52,10 +52,10 @@ struct PackedSyndromes {
 // noise at rate p, sampled 64 per BatchFrameSim word, syndromes extracted
 // bit-sliced (one 4-word XOR per plaquette), decoded through decode_lanes,
 // logical verdicts read bit-sliced off the residual. `decoder` must be a
-// single-trusted-round plaquette decoder on the target code; with unit
-// space weight its matching metric equals ToricMatchingDecoder's, so this is
-// the batched twin of the serial memory_shot_2d loop. Returns the failure
-// count (either logical qubit flipped).
+// plaquette decoder on the target code; each lane is a one-round trusted
+// history, so its correction is what decoder.decode({syndrome}) returns for
+// the lane's snapshot. Returns the failure count (either logical qubit
+// flipped).
 [[nodiscard]] uint64_t batch_memory_2d_failures(
     const SpacetimeToricDecoder& decoder, double p, size_t shots,
     uint64_t seed);

@@ -6,11 +6,9 @@ namespace ftqc::decode {
 
 // Exact minimum-weight perfect matching for ANY even defect count: the
 // primal-dual blossom algorithm (Edmonds 1965) with odd-set contraction,
-// O(n³) time and O(n²) memory. This removes the 16-defect ceiling of
-// MwpmMatching's subset-DP — large-L / high-p / many-round space-time
-// instances get a true global optimum instead of the union-find clustering
-// heuristic, which is what closes the measured threshold gap between the
-// clustered matcher (~0.097) and optimal matching (~0.103).
+// O(n³) time and O(n²) memory. Large-L / high-p / many-round space-time
+// instances get a true global optimum with no instance-size ceiling, which
+// puts the toric threshold at optimal matching's ~0.103.
 //
 // Internals (see blossom.cpp): the minimization is run as maximum-weight
 // matching on the complement weights w' = w_max + 1 - w (all positive, so on

@@ -4,7 +4,7 @@
 #include <memory>
 #include <vector>
 
-#include "decode/decoder.h"
+#include "decode/spacetime.h"
 #include "sim/noise_model.h"
 
 namespace ftqc::decode {

@@ -1,115 +1,14 @@
 #include "decode/matching.h"
 
-#include <algorithm>
 #include <limits>
-#include <map>
-#include <utility>
 
 #include "common/check.h"
 
 namespace ftqc::decode {
-namespace {
-
-constexpr size_t kInf = std::numeric_limits<size_t>::max() / 2;
-
-// Greedy core shared by the standalone strategy and the oversized-cluster
-// fallback: repeatedly match the globally closest remaining pair, first
-// lexicographic pair winning ties (the historical ToricCode behavior).
-template <typename Dist>
-void greedy_match_into(const std::vector<uint32_t>& members, Dist&& distance,
-                       std::vector<Match>& out) {
-  std::vector<bool> used(members.size(), false);
-  for (size_t matched = 0; matched < members.size(); matched += 2) {
-    size_t best_i = 0, best_j = 0;
-    size_t best = kInf;
-    for (size_t i = 0; i < members.size(); ++i) {
-      if (used[i]) continue;
-      for (size_t j = i + 1; j < members.size(); ++j) {
-        if (used[j]) continue;
-        const size_t d = distance(members[i], members[j]);
-        if (d < best) {
-          best = d;
-          best_i = i;
-          best_j = j;
-        }
-      }
-    }
-    used[best_i] = used[best_j] = true;
-    out.push_back({members[best_i], members[best_j]});
-  }
-}
-
-// Exact minimum-weight perfect matching over one cluster via DP on defect
-// subsets: dp[S] = cheapest pairing of subset S, always extending by the
-// lowest-indexed unmatched defect. O(2^k · k) time, O(2^k) space, so callers
-// bound k by MwpmOptions::exact_limit.
-void exact_match_into(const std::vector<uint32_t>& members,
-                      const std::vector<size_t>& dist_matrix, size_t stride,
-                      std::vector<Match>& out) {
-  const size_t k = members.size();
-  const uint32_t full = static_cast<uint32_t>((uint64_t{1} << k) - 1);
-  std::vector<size_t> dp(static_cast<size_t>(full) + 1, kInf);
-  std::vector<uint8_t> choice(static_cast<size_t>(full) + 1, 0);
-  dp[0] = 0;
-  for (uint32_t s = 1; s <= full; ++s) {
-    if ((__builtin_popcount(s) & 1) != 0) continue;  // odd subsets unreachable
-    const int i = __builtin_ctz(s);
-    size_t best = kInf;
-    uint8_t best_j = 0;
-    for (uint32_t rest = s ^ (1u << i); rest != 0; rest &= rest - 1) {
-      const int j = __builtin_ctz(rest);
-      const size_t cost =
-          dp[s ^ (1u << i) ^ (1u << j)] +
-          dist_matrix[members[static_cast<size_t>(i)] * stride +
-                      members[static_cast<size_t>(j)]];
-      if (cost < best) {
-        best = cost;
-        best_j = static_cast<uint8_t>(j);
-      }
-    }
-    dp[s] = best;
-    choice[s] = best_j;
-  }
-  for (uint32_t s = full; s != 0;) {
-    const int i = __builtin_ctz(s);
-    const int j = choice[s];
-    out.push_back({members[static_cast<size_t>(i)],
-                   members[static_cast<size_t>(j)]});
-    s ^= (1u << i) ^ (1u << j);
-  }
-}
-
-struct Dsu {
-  explicit Dsu(size_t n) : parent(n), odd(n, true) {
-    for (size_t i = 0; i < n; ++i) parent[i] = static_cast<uint32_t>(i);
-  }
-  uint32_t find(uint32_t x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  }
-  // Returns true when the union merged two odd-parity clusters.
-  bool unite(uint32_t a, uint32_t b) {
-    a = find(a);
-    b = find(b);
-    const bool both_odd = odd[a] && odd[b];
-    parent[a] = b;
-    odd[b] = odd[a] != odd[b];
-    return both_odd;
-  }
-  std::vector<uint32_t> parent;
-  std::vector<bool> odd;
-};
-
-}  // namespace
 
 std::vector<Match> GreedyMatching::match(size_t num_defects,
                                          const DistanceFn& distance) const {
   FTQC_CHECK(num_defects % 2 == 0, "defects come in pairs");
-  std::vector<uint32_t> members(num_defects);
-  for (size_t i = 0; i < num_defects; ++i) members[i] = static_cast<uint32_t>(i);
   std::vector<Match> out;
   out.reserve(num_defects / 2);
   // The closest-pair scan revisits every surviving pair once per matched
@@ -124,108 +23,26 @@ std::vector<Match> GreedyMatching::match(size_t num_defects,
       dist_matrix[j * num_defects + i] = d;
     }
   }
-  greedy_match_into(
-      members,
-      [&](uint32_t a, uint32_t b) { return dist_matrix[a * num_defects + b]; },
-      out);
-  return out;
-}
-
-MwpmMatching::MwpmMatching(MwpmOptions options) : options_(options) {
-  FTQC_CHECK(options_.exact_limit <= 26,
-             "exact_limit above 26 needs >600MB DP tables (and 32-bit masks)");
-}
-
-std::vector<Match> MwpmMatching::match(size_t num_defects,
-                                       const DistanceFn& distance) const {
-  FTQC_CHECK(num_defects % 2 == 0, "defects come in pairs");
-  std::vector<Match> out;
-  if (num_defects == 0) return out;
-  out.reserve(num_defects / 2);
-
-  if (num_defects <= options_.exact_limit) {
-    // Small instance: one dense metric evaluation feeds the subset-DP.
-    std::vector<size_t> dist_matrix(num_defects * num_defects, 0);
+  // Repeatedly match the globally closest remaining pair, the first
+  // lexicographic (i, j) winning ties.
+  std::vector<bool> used(num_defects, false);
+  for (size_t matched = 0; matched < num_defects; matched += 2) {
+    size_t best_i = 0, best_j = 0;
+    size_t best = std::numeric_limits<size_t>::max();
     for (size_t i = 0; i < num_defects; ++i) {
+      if (used[i]) continue;
       for (size_t j = i + 1; j < num_defects; ++j) {
-        const size_t d = distance(i, j);
-        dist_matrix[i * num_defects + j] = d;
-        dist_matrix[j * num_defects + i] = d;
+        if (used[j]) continue;
+        const size_t d = dist_matrix[i * num_defects + j];
+        if (d < best) {
+          best = d;
+          best_i = i;
+          best_j = j;
+        }
       }
     }
-    std::vector<uint32_t> members(num_defects);
-    for (size_t i = 0; i < num_defects; ++i) {
-      members[i] = static_cast<uint32_t>(i);
-    }
-    exact_match_into(members, dist_matrix, num_defects, out);
-    return out;
-  }
-
-  // Large instance: radius-ordered union-find clustering. Each unordered pair
-  // is metric-evaluated exactly once and dropped into a bucket keyed by its
-  // distance (8 bytes per edge — no dense n² matrix, no 24-byte Kruskal edge
-  // list, no O(E log E) sort: the handful of distinct integer radii on a
-  // torus keeps the bucket map tiny). Buckets are consumed in ascending
-  // radius, merging clusters while at least one side still holds an odd
-  // defect count, and the growth stops at the first radius where every
-  // cluster is even — edges beyond that radius are never touched. Within a
-  // bucket, insertion order is (i, j)-lexicographic, so the merge sequence is
-  // identical to the former fully-sorted formulation.
-  std::map<size_t, std::vector<std::pair<uint32_t, uint32_t>>> radius_buckets;
-  for (uint32_t i = 0; i < num_defects; ++i) {
-    for (uint32_t j = i + 1; j < num_defects; ++j) {
-      radius_buckets[distance(i, j)].push_back({i, j});
-    }
-  }
-  Dsu dsu(num_defects);
-  size_t odd_clusters = num_defects;
-  for (const auto& [radius, bucket] : radius_buckets) {
-    (void)radius;
-    if (odd_clusters == 0) break;
-    for (const auto& [i, j] : bucket) {
-      if (odd_clusters == 0) break;
-      const uint32_t ra = dsu.find(i);
-      const uint32_t rb = dsu.find(j);
-      if (ra == rb || (!dsu.odd[ra] && !dsu.odd[rb])) continue;
-      if (dsu.unite(ra, rb)) odd_clusters -= 2;
-    }
-  }
-  FTQC_CHECK(odd_clusters == 0, "even defect total must cluster evenly");
-  radius_buckets.clear();
-
-  std::vector<std::vector<uint32_t>> clusters(num_defects);
-  for (uint32_t i = 0; i < num_defects; ++i) {
-    clusters[dsu.find(i)].push_back(i);
-  }
-  // Densify only inside a cluster: a k×k matrix in cluster-local indices,
-  // k ≤ exact_limit on the exact path and rarely much larger on the greedy
-  // one, instead of the former global n² matrix.
-  std::vector<size_t> local;
-  for (const auto& members : clusters) {
-    if (members.empty()) continue;
-    const size_t k = members.size();
-    local.assign(k * k, 0);
-    for (size_t a = 0; a < k; ++a) {
-      for (size_t b = a + 1; b < k; ++b) {
-        const size_t d = distance(members[a], members[b]);
-        local[a * k + b] = d;
-        local[b * k + a] = d;
-      }
-    }
-    std::vector<uint32_t> local_ids(k);
-    for (size_t a = 0; a < k; ++a) local_ids[a] = static_cast<uint32_t>(a);
-    const size_t before = out.size();
-    if (k <= options_.exact_limit) {
-      exact_match_into(local_ids, local, k, out);
-    } else {
-      greedy_match_into(
-          local_ids,
-          [&](uint32_t a, uint32_t b) { return local[a * k + b]; }, out);
-    }
-    for (size_t m = before; m < out.size(); ++m) {
-      out[m].a = members[out[m].a];
-      out[m].b = members[out[m].b];
-    }
+    used[best_i] = used[best_j] = true;
+    out.push_back({static_cast<uint32_t>(best_i), static_cast<uint32_t>(best_j)});
   }
   return out;
 }

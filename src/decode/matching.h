@@ -32,40 +32,12 @@ class MatchingStrategy {
 
 // Repeatedly matches the globally closest remaining pair. O(n^3), no
 // optimality guarantee — on the toric code it tops out near an 8% threshold
-// where true MWPM reaches ~10.3%.
+// where true MWPM (BlossomMatching, decode/blossom.h) reaches ~10.3%.
 class GreedyMatching final : public MatchingStrategy {
  public:
   [[nodiscard]] const char* name() const override { return "greedy"; }
   [[nodiscard]] std::vector<Match> match(
       size_t num_defects, const DistanceFn& distance) const override;
-};
-
-struct MwpmOptions {
-  // Largest instance handed to the O(2^n · n) exact subset-DP. Above it the
-  // defect set is first split into parity-even clusters (union-find over
-  // Kruskal-ordered pair edges); each cluster is then matched exactly if it
-  // fits, greedily otherwise. Capped at 26: the DP tables hold 2^n entries
-  // (26 → ~600 MB transient), and the subset masks are 32-bit.
-  size_t exact_limit = 16;
-};
-
-// Minimum-weight perfect matching: exact on small instances via bitmask DP
-// over subsets (always matching the lowest-indexed unmatched defect), with a
-// union-find clustering fallback for large ones. The fallback mirrors the
-// cluster-growth idea of union-find decoders: edges are grown radius by
-// radius (distance-bucketed, never globally sorted or densified) merging
-// odd-parity clusters until every cluster is even, and the hard optimization
-// only ever runs on a cluster-local distance matrix. For a true global
-// optimum at any defect count, see BlossomMatching in decode/blossom.h.
-class MwpmMatching final : public MatchingStrategy {
- public:
-  explicit MwpmMatching(MwpmOptions options = {});
-  [[nodiscard]] const char* name() const override { return "mwpm"; }
-  [[nodiscard]] std::vector<Match> match(
-      size_t num_defects, const DistanceFn& distance) const override;
-
- private:
-  MwpmOptions options_;
 };
 
 // Summed metric cost of a pairing — the quantity MWPM minimizes, and the

@@ -1,11 +1,22 @@
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "decode/decoder.h"
+#include "decode/matching.h"
+#include "gf2/bitvec.h"
+#include "topo/toric_code.h"
 
 namespace ftqc::decode {
+
+// Which half of the toric code's CSS structure a decoder corrects: violated
+// plaquettes (magnetic fluxons, X errors, dual-lattice geodesics) or violated
+// stars (electric charges, Z errors, primal-lattice geodesics).
+enum class ToricSide : uint8_t {
+  kPlaquette,
+  kStar,
+};
 
 struct SpacetimeOptions {
   // Relative integer edge weights of the 3D defect graph. Spatial steps
@@ -39,7 +50,9 @@ class SpacetimeToricDecoder {
   // `syndromes` holds the T measured (possibly faulty) rounds followed by
   // one final trusted round — memory experiments append the true syndrome of
   // the accumulated error, which guarantees an even defect count and a
-  // correction that clears the final syndrome exactly.
+  // correction that clears the final syndrome exactly. T = 0 is the 2D
+  // perfect-measurement decoder: decode({syndrome}) pairs one snapshot's
+  // defects under the plain torus metric (times space_weight).
   [[nodiscard]] gf2::BitVec decode(
       const std::vector<gf2::BitVec>& syndromes) const;
 

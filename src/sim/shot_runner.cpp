@@ -4,7 +4,6 @@ namespace ftqc::sim {
 
 const char* shot_engine_name(ShotEngine engine) {
   switch (engine) {
-    case ShotEngine::kExact: return "exact";
     case ShotEngine::kFrame: return "frame";
     case ShotEngine::kBatch: return "batch";
   }
@@ -12,7 +11,6 @@ const char* shot_engine_name(ShotEngine engine) {
 }
 
 std::optional<ShotEngine> parse_shot_engine(std::string_view name) {
-  if (name == "exact") return ShotEngine::kExact;
   if (name == "frame") return ShotEngine::kFrame;
   if (name == "batch") return ShotEngine::kBatch;
   return std::nullopt;

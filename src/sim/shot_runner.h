@@ -24,17 +24,16 @@ namespace ftqc::sim {
 
 // Which simulation engine a Monte Carlo loop should drive. The runner itself
 // is engine-agnostic — it distributes shots, seeds, threads and timing — but
-// carrying the choice in the plan lets one driver own all three paths instead
+// carrying the choice in the plan lets one driver own both paths instead
 // of hand-rolling a loop per engine (the pre-refactor state of benches
 // E02/E04/E05/E10/E18 and the pseudothreshold sweeps).
 enum class ShotEngine : uint8_t {
-  kExact,  // TableauSim: exact stabilizer states, one shot at a time
   kFrame,  // FrameSim: Pauli frames, one shot at a time
   kBatch,  // BatchFrameSim: bit-parallel frames, 64 shots per word
 };
 
 [[nodiscard]] const char* shot_engine_name(ShotEngine engine);
-// Parses "exact" / "frame" / "batch"; nullopt on anything else.
+// Parses "frame" / "batch"; nullopt on anything else.
 [[nodiscard]] std::optional<ShotEngine> parse_shot_engine(std::string_view name);
 
 // How to run a Monte Carlo estimate: shot budget, seeding discipline, engine
@@ -122,15 +121,15 @@ class ShotRunner {
   ShotResult run(ShotFn&& shot) const {
     FTQC_CHECK(plan_.engine != ShotEngine::kBatch,
                "batch engine needs the (shot, block) overload");
-    return run_serial(std::forward<ShotFn>(shot));
+    return run_range(0, plan_.shots, std::forward<ShotFn>(shot));
   }
 
   template <typename ShotFn, typename BlockFn>
   ShotResult run(ShotFn&& shot, BlockFn&& block) const {
     if (plan_.engine == ShotEngine::kBatch) {
-      return run_blocks(std::forward<BlockFn>(block));
+      return run_range_blocks(0, plan_.shots, std::forward<BlockFn>(block));
     }
-    return run_serial(std::forward<ShotFn>(shot));
+    return run_range(0, plan_.shots, std::forward<ShotFn>(shot));
   }
 
   // Runs shots [first_shot, first_shot + num_shots) of the plan's seed
@@ -195,6 +194,8 @@ class ShotRunner {
         c2 += counts[2];
         c3 += counts[3];
       }
+      // The batch engine rounds block sizes up to whole 64-lane words; the
+      // block callable reports failures among the first n lanes only.
       trials += n;
     }
     result.counts = {c0, c1, c2, c3};
@@ -208,66 +209,6 @@ class ShotRunner {
 
   [[nodiscard]] uint64_t seed_for(size_t shot_index) const {
     return plan_.seed + plan_.seed_stride * static_cast<uint64_t>(shot_index);
-  }
-
-  template <typename ShotFn>
-  ShotResult run_serial(ShotFn&& shot) const {
-    ShotResult result;
-    result.trials = plan_.shots;
-    const auto start = Clock::now();
-    uint64_t c0 = 0, c1 = 0, c2 = 0, c3 = 0;
-    const int64_t shots = static_cast<int64_t>(plan_.shots);
-    const bool par = plan_.parallel;
-    (void)par;
-    // clang-format off
-    FTQC_OMP_PRAGMA("omp parallel for schedule(static) reduction(+:c0,c1,c2,c3) if(par)")
-    // clang-format on
-    for (int64_t s = 0; s < shots; ++s) {
-      const uint32_t mask =
-          static_cast<uint32_t>(shot(seed_for(static_cast<size_t>(s))));
-      c0 += mask & 1u;
-      c1 += (mask >> 1) & 1u;
-      c2 += (mask >> 2) & 1u;
-      c3 += (mask >> 3) & 1u;
-    }
-    result.counts = {c0, c1, c2, c3};
-    result.seconds = std::chrono::duration<double>(Clock::now() - start).count();
-    return result;
-  }
-
-  template <typename BlockFn>
-  ShotResult run_blocks(BlockFn&& block) const {
-    const size_t block_shots = plan_.block_shots > 0 ? plan_.block_shots : 4096;
-    const size_t num_blocks = (plan_.shots + block_shots - 1) / block_shots;
-    ShotResult result;
-    const auto start = Clock::now();
-    uint64_t trials = 0, c0 = 0, c1 = 0, c2 = 0, c3 = 0;
-    const int64_t blocks = static_cast<int64_t>(num_blocks);
-    const bool par = plan_.parallel;
-    (void)par;
-    // clang-format off
-    FTQC_OMP_PRAGMA("omp parallel for schedule(dynamic) reduction(+:trials,c0,c1,c2,c3) if(par)")
-    // clang-format on
-    for (int64_t b = 0; b < blocks; ++b) {
-      const size_t first = static_cast<size_t>(b) * block_shots;
-      const size_t n = std::min(block_shots, plan_.shots - first);
-      const auto counts = block(seed_for(first), n);
-      if constexpr (std::is_integral_v<std::decay_t<decltype(counts)>>) {
-        c0 += static_cast<uint64_t>(counts);
-      } else {
-        c0 += counts[0];
-        c1 += counts[1];
-        c2 += counts[2];
-        c3 += counts[3];
-      }
-      // The batch engine rounds block sizes up to whole 64-lane words; the
-      // block callable reports failures among the first n lanes only.
-      trials += n;
-    }
-    result.counts = {c0, c1, c2, c3};
-    result.trials = trials;
-    result.seconds = std::chrono::duration<double>(Clock::now() - start).count();
-    return result;
   }
 
   ShotPlan plan_;

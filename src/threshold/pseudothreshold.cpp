@@ -28,8 +28,6 @@ bool one_cycle_fails(const sim::NoiseParams& noise, uint64_t seed) {
 CyclePoint measure_cycle_failure(RecoveryMethod method, double eps_gate,
                                  size_t shots, uint64_t seed, double eps_store,
                                  sim::ShotEngine engine, bool parallel) {
-  FTQC_CHECK(engine != sim::ShotEngine::kExact,
-             "recovery cycles are frame-native; use frame or batch");
   const auto noise = sim::NoiseParams::uniform_gate(eps_gate, eps_store);
 
   sim::ShotPlan plan;

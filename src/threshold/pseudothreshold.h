@@ -34,7 +34,6 @@ struct CyclePoint {
 //  * kBatch — BatchSteaneRecovery / BatchShorRecovery, 64 shots per word
 //    (OpenMP over blocks). The Shor cat-retry loop is data-dependent per
 //    shot; the batch driver replays it as masked re-replay of failed lanes.
-// kExact is rejected: the recovery gadgets are frame-native.
 // `parallel = false` opts the shot loop out of OpenMP — sweep-scheduler
 // points do this because the worker pool already owns all parallelism.
 [[nodiscard]] CyclePoint measure_cycle_failure(

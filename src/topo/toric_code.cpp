@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <memory>
 
 #include "common/check.h"
-#include "decode/decoder.h"
 
 namespace ftqc::topo {
 
@@ -228,20 +226,6 @@ void ToricCode::toggle_primal_path(size_t from, size_t to,
       y = (y + l_ - 1) % l_;
     }
   }
-}
-
-gf2::BitVec ToricCode::decode_plaquette_syndrome(
-    const gf2::BitVec& syndrome) const {
-  static const auto greedy = std::make_shared<const decode::GreedyMatching>();
-  return decode::ToricMatchingDecoder(*this, decode::ToricSide::kPlaquette,
-                                      greedy)
-      .decode(syndrome);
-}
-
-gf2::BitVec ToricCode::decode_star_syndrome(const gf2::BitVec& syndrome) const {
-  static const auto greedy = std::make_shared<const decode::GreedyMatching>();
-  return decode::ToricMatchingDecoder(*this, decode::ToricSide::kStar, greedy)
-      .decode(syndrome);
 }
 
 void ToricCode::prepare_ground_state(sim::TableauSim& sim) const {

@@ -60,18 +60,6 @@ class ToricCode {
   [[nodiscard]] std::pair<bool, bool> logical_z_flips(
       const gf2::BitVec& residual_z) const;
 
-  // Convenience decoders: greedy minimum-distance matching through the
-  // src/decode subsystem (decode::ToricMatchingDecoder with GreedyMatching).
-  // Benches that A/B strategies — greedy vs exact MWPM vs 3D space-time —
-  // construct decoders from src/decode directly; these wrappers keep the
-  // historical one-call path (and its ~8% threshold) for casual users.
-  [[nodiscard]] gf2::BitVec decode_plaquette_syndrome(
-      const gf2::BitVec& syndrome) const;
-  // The electric dual: matches violated stars (charge quasiparticles) and
-  // returns the Z correction along primal-lattice geodesics.
-  [[nodiscard]] gf2::BitVec decode_star_syndrome(
-      const gf2::BitVec& syndrome) const;
-
   // Geometry shared with the decode subsystem. Sites are plaquette or vertex
   // indices y*L + x; the metric is the L1 torus distance (both sublattices
   // share it by translation symmetry).

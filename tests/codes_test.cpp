@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cmath>
+#include <ostream>
 
 #include "codes/concatenated.h"
 #include "codes/css.h"
@@ -134,17 +136,21 @@ TEST_P(SingleErrorCorrection, AllSingleErrorsCorrected) {
 
 INSTANTIATE_TEST_SUITE_P(LibraryCodes, SingleErrorCorrection,
                          ::testing::Values(&steane(), &five_qubit(), &shor9(),
-                                           &hamming15()),
-                         [](const auto& info) {
-                           const std::string& n = info.param->name();
-                           std::string id;
-                           for (char c : n) {
-                             if (std::isalnum(static_cast<unsigned char>(c))) {
-                               id += c;
-                             }
-                           }
-                           return id;
-                         });
+                                           &hamming15()));
+
+}  // namespace
+
+// gtest lists a value-parameterized test with its printed parameter, and
+// CTest names each discovered test after it ("…/Steane713"). Print the
+// code's alphanumeric name, not its address, so the names are the same in
+// every build and run.
+void PrintTo(const StabilizerCode* code, std::ostream* os) {
+  for (char c : code->name()) {
+    if (std::isalnum(static_cast<unsigned char>(c))) *os << c;
+  }
+}
+
+namespace {
 
 TEST(LookupDecoder, TableCoversEverySyndrome) {
   EXPECT_EQ(LookupDecoder(steane()).table_size(), 64u);

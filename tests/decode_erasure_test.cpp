@@ -8,8 +8,8 @@
 #include <memory>
 
 #include "common/rng.h"
+#include "decode/blossom.h"
 #include "decode/erasure.h"
-#include "decode/matching.h"
 #include "sim/noise_model.h"
 #include "topo/toric_code.h"
 
@@ -18,8 +18,8 @@ namespace {
 
 using topo::ToricCode;
 
-std::shared_ptr<const MwpmMatching> mwpm() {
-  static const auto strategy = std::make_shared<const MwpmMatching>();
+std::shared_ptr<const BlossomMatching> blossom() {
+  static const auto strategy = std::make_shared<const BlossomMatching>();
   return strategy;
 }
 
@@ -42,7 +42,7 @@ void expect_exact_correction(const ToricCode& code,
 // and the leaf-first sweep reproduces the error up to stabilizers.
 TEST(ErasurePeeling, CorrectsEveryErrorOnForestErasure) {
   const ToricCode code(4);
-  const ErasureAwareDecoder decoder(code, ToricSide::kPlaquette, mwpm());
+  const ErasureAwareDecoder decoder(code, ToricSide::kPlaquette, blossom());
   // A bent 5-edge path: no cycle, no wrap.
   const uint32_t path[] = {code.h_edge(0, 0), code.h_edge(1, 0),
                            code.v_edge(2, 0), code.h_edge(2, 1),
@@ -64,7 +64,7 @@ TEST(ErasurePeeling, CorrectsEveryErrorOnForestErasure) {
 // erased edge is an invisible 50/50 error).
 TEST(ErasurePeeling, PureErasureAwareBeatsBlind) {
   const ToricCode code(6);
-  const ErasureAwareDecoder decoder(code, ToricSide::kPlaquette, mwpm());
+  const ErasureAwareDecoder decoder(code, ToricSide::kPlaquette, blossom());
   Rng rng(0xE20A);
   const double p_erase = 0.25;
   const size_t shots = 400;
@@ -97,7 +97,7 @@ TEST(ErasurePeeling, PureErasureAwareBeatsBlind) {
 // (syndrome always cleared) and be deterministic shot for shot.
 TEST(ErasureDecoder, BlindModeClearsEverySyndromeDeterministically) {
   const ToricCode code(5);
-  const ErasureAwareDecoder decoder(code, ToricSide::kPlaquette, mwpm());
+  const ErasureAwareDecoder decoder(code, ToricSide::kPlaquette, blossom());
   Rng rng(0xE20B);
   for (size_t shot = 0; shot < 100; ++shot) {
     gf2::BitVec errors(code.num_qubits());
@@ -117,7 +117,7 @@ TEST(ErasureDecoder, BlindModeClearsEverySyndromeDeterministically) {
 // The star side walks the primal (vertex) graph; same invariants.
 TEST(ErasureDecoder, StarSideClearsAndPeels) {
   const ToricCode code(4);
-  const ErasureAwareDecoder decoder(code, ToricSide::kStar, mwpm());
+  const ErasureAwareDecoder decoder(code, ToricSide::kStar, blossom());
   Rng rng(0xE20C);
   for (size_t shot = 0; shot < 100; ++shot) {
     gf2::BitVec heralds(code.num_qubits());
@@ -141,7 +141,7 @@ TEST(ErasureDecoder, StarSideClearsAndPeels) {
 // decode exactly, because erased edges cost ~nothing.
 TEST(ErasureDecoder, MatchingThreadsTheErasureSupport) {
   const ToricCode code(6);
-  const ErasureAwareDecoder decoder(code, ToricSide::kPlaquette, mwpm());
+  const ErasureAwareDecoder decoder(code, ToricSide::kPlaquette, blossom());
   // An error on a bent chain of erased edges plus one defect pair whose
   // direct geodesic (2 steps) is shorter than the erased detour (4 steps):
   // the aware decoder must still find the zero-residual correction.
@@ -161,7 +161,7 @@ TEST(ErasureDecoder, MatchingThreadsTheErasureSupport) {
 // one in aggregate.
 TEST(ErasureMemory, AwareNeverWorseInAggregate) {
   const ToricCode code(6);
-  const ErasureAwareDecoder decoder(code, ToricSide::kPlaquette, mwpm());
+  const ErasureAwareDecoder decoder(code, ToricSide::kPlaquette, blossom());
   sim::NoiseParams params;
   params.eps_store = 0.02;
   params.p_erase = 0.20;
@@ -183,8 +183,8 @@ TEST(ErasureMemory, AwareNeverWorseInAggregate) {
 // plaquette side nearly none.
 TEST(ErasureMemory, ZBiasLoadsTheStarSide) {
   const ToricCode code(6);
-  const ErasureAwareDecoder plaq(code, ToricSide::kPlaquette, mwpm());
-  const ErasureAwareDecoder star(code, ToricSide::kStar, mwpm());
+  const ErasureAwareDecoder plaq(code, ToricSide::kPlaquette, blossom());
+  const ErasureAwareDecoder star(code, ToricSide::kStar, blossom());
   sim::NoiseParams params;
   params.eps_store = 0.08;
   params.bias_x = 1.0;

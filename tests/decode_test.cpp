@@ -13,7 +13,6 @@
 #include "common/rng.h"
 #include "decode/batch_decode.h"
 #include "decode/blossom.h"
-#include "decode/decoder.h"
 #include "decode/dem.h"
 #include "decode/matching.h"
 #include "decode/spacetime.h"
@@ -25,11 +24,6 @@ namespace {
 using topo::ToricCode;
 
 constexpr size_t kUnreachable = std::numeric_limits<size_t>::max();
-
-std::shared_ptr<const MwpmMatching> mwpm() {
-  static const auto strategy = std::make_shared<const MwpmMatching>();
-  return strategy;
-}
 
 std::shared_ptr<const GreedyMatching> greedy() {
   static const auto strategy = std::make_shared<const GreedyMatching>();
@@ -70,11 +64,12 @@ std::vector<size_t> brute_force_min_weights(const ToricCode& code) {
   return min_weight;
 }
 
+// A one-round trusted history is the 2D perfect-measurement decode.
 void expect_matches_brute_force(
     size_t lattice, std::shared_ptr<const MatchingStrategy> strategy) {
   const ToricCode code(lattice);
-  const ToricMatchingDecoder decoder(code, ToricSide::kPlaquette,
-                                     std::move(strategy));
+  const SpacetimeToricDecoder decoder(code, ToricSide::kPlaquette,
+                                      std::move(strategy));
   const auto min_weight = brute_force_min_weights(code);
   size_t checked = 0;
   for (size_t s = 0; s < min_weight.size(); ++s) {
@@ -86,7 +81,7 @@ void expect_matches_brute_force(
     for (size_t b = 0; b < code.num_plaquettes(); ++b) {
       syndrome.set(b, ((s >> b) & 1) != 0);
     }
-    const gf2::BitVec correction = decoder.decode(syndrome);
+    const gf2::BitVec correction = decoder.decode({syndrome});
     EXPECT_EQ(code.plaquette_syndrome(correction), syndrome)
         << "syndrome " << s << " not cleared";
     EXPECT_EQ(correction.popcount(), min_weight[s])
@@ -94,14 +89,6 @@ void expect_matches_brute_force(
     ++checked;
   }
   EXPECT_EQ(checked, min_weight.size() / 2);
-}
-
-TEST(MwpmExhaustive, MatchesBruteForceMinimumWeightL2) {
-  expect_matches_brute_force(2, mwpm());
-}
-
-TEST(MwpmExhaustive, MatchesBruteForceMinimumWeightL3) {
-  expect_matches_brute_force(3, mwpm());
 }
 
 TEST(BlossomExhaustive, MatchesBruteForceMinimumWeightL2) {
@@ -112,9 +99,28 @@ TEST(BlossomExhaustive, MatchesBruteForceMinimumWeightL3) {
   expect_matches_brute_force(3, blossom());
 }
 
-// The subset-DP is provably optimal up to exact_limit defects; the blossom
-// primal-dual must agree with it on cost for every instance in that range
-// (pairings may differ when ties exist, costs may not).
+// Independent exact oracle: minimum perfect-matching cost of an n x n weight
+// matrix by DP over defect subsets, dp[S] = cheapest pairing of S, always
+// pairing S's lowest-indexed defect. O(2^n · n), so small n only.
+size_t subset_dp_min_cost(const std::vector<size_t>& weights, size_t n) {
+  std::vector<size_t> dp(size_t{1} << n, kUnreachable);
+  dp[0] = 0;
+  for (uint32_t s = 1; s < (uint32_t{1} << n); ++s) {
+    if ((__builtin_popcount(s) & 1) != 0) continue;  // odd subsets unreachable
+    const int i = __builtin_ctz(s);
+    for (uint32_t rest = s ^ (1u << i); rest != 0; rest &= rest - 1) {
+      const int j = __builtin_ctz(rest);
+      dp[s] = std::min(dp[s], dp[s ^ (1u << i) ^ (1u << j)] +
+                                  weights[static_cast<size_t>(i) * n +
+                                          static_cast<size_t>(j)]);
+    }
+  }
+  return dp.back();
+}
+
+// The subset-DP is provably optimal; the blossom primal-dual must agree with
+// it on cost for every instance (pairings may differ when ties exist, costs
+// may not).
 TEST(BlossomMatching, CostMatchesSubsetDpOnRandomMetrics) {
   Rng rng(101);
   for (int trial = 0; trial < 300; ++trial) {
@@ -130,17 +136,16 @@ TEST(BlossomMatching, CostMatchesSubsetDpOnRandomMetrics) {
     const DistanceFn metric = [&](size_t a, size_t b) {
       return weights[a * n + b];
     };
-    const auto dp_pairs = mwpm()->match(n, metric);
     const auto blossom_pairs = blossom()->match(n, metric);
     ASSERT_EQ(blossom_pairs.size(), n / 2);
     EXPECT_EQ(matching_cost(blossom_pairs, metric),
-              matching_cost(dp_pairs, metric))
+              subset_dp_min_cost(weights, n))
         << "trial " << trial << " n=" << n;
   }
 }
 
-// Above the DP ceiling the blossom is the only exact matcher; pin that its
-// cost never exceeds greedy's (a true optimum cannot) on large instances.
+// Above the subset-DP oracle's reach, pin that the blossom cost never
+// exceeds greedy's (a true optimum cannot) on large instances.
 TEST(BlossomMatching, LargeInstancesNeverCostMoreThanGreedy) {
   Rng rng(103);
   const size_t n = 40;
@@ -169,7 +174,7 @@ TEST(MatchingEdgeCases, EmptyDefectSetMatchesTriviallyWithNoMetricCalls) {
     return 1;
   };
   const std::vector<std::shared_ptr<const MatchingStrategy>> strategies = {
-      greedy(), mwpm(), blossom()};
+      greedy(), blossom()};
   for (const auto& strategy : strategies) {
     EXPECT_TRUE(strategy->match(0, metric).empty()) << strategy->name();
   }
@@ -200,22 +205,21 @@ TEST(MatchingDeathTest, OddDefectCountAborts) {
   GTEST_FLAG_SET(death_test_style, "threadsafe");
   const DistanceFn metric = [](size_t, size_t) -> size_t { return 1; };
   EXPECT_DEATH((void)greedy()->match(3, metric), "defects come in pairs");
-  EXPECT_DEATH((void)mwpm()->match(3, metric), "defects come in pairs");
   EXPECT_DEATH((void)blossom()->match(3, metric), "defects come in pairs");
 }
 
 TEST(MatchingDeathTest, SpacetimeDefectListMisuseAborts) {
   GTEST_FLAG_SET(death_test_style, "threadsafe");
   const ToricCode code(4);
-  const SpacetimeToricDecoder decoder(code, ToricSide::kPlaquette, mwpm());
+  const SpacetimeToricDecoder decoder(code, ToricSide::kPlaquette, blossom());
   EXPECT_DEATH((void)decoder.decode_defects({0, 1}, {0}),
                "defect site/round lists must be parallel");
   EXPECT_DEATH((void)decoder.decode_defects({0}, {0}),
                "space-time defects come in pairs");
 }
 
-// In the exact-DP regime (<= MwpmOptions::exact_limit defects) the MWPM cost
-// is a global optimum, so it can never exceed the greedy pairing's cost.
+// The blossom MWPM cost is a global optimum, so it can never exceed the
+// greedy pairing's cost.
 TEST(MatchingProperty, MwpmCostNeverExceedsGreedyOnRandomSyndromes) {
   const ToricCode code(6);
   Rng rng(71);
@@ -233,49 +237,19 @@ TEST(MatchingProperty, MwpmCostNeverExceedsGreedyOnRandomSyndromes) {
          s = syndrome.next_set(s + 1)) {
       defects.push_back(static_cast<uint32_t>(s));
     }
-    // The guarantee only holds while the exact DP runs; the clustering
-    // fallback above exact_limit is covered by the aggregate test below.
-    if (defects.size() > MwpmOptions{}.exact_limit) continue;
     const DistanceFn defect_metric = [&](size_t a, size_t b) {
       return metric(defects[a], defects[b]);
     };
-    const auto exact = mwpm()->match(defects.size(), defect_metric);
+    const auto exact = blossom()->match(defects.size(), defect_metric);
     const auto greedy_pairs = greedy()->match(defects.size(), defect_metric);
     EXPECT_LE(matching_cost(exact, defect_metric),
               matching_cost(greedy_pairs, defect_metric));
   }
 }
 
-// Above the exact limit the union-find clustering takes over; per-cluster
-// optima are not a global guarantee, so the property is checked per shot for
-// syndrome clearing and in aggregate for cost.
-TEST(MatchingProperty, UnionFindFallbackClearsSyndromesAndStaysCompetitive) {
-  const ToricCode code(8);
-  const ToricMatchingDecoder exact_dec(code, ToricSide::kPlaquette, mwpm());
-  const ToricMatchingDecoder greedy_dec(code, ToricSide::kPlaquette, greedy());
-  Rng rng(73);
-  size_t mwpm_total = 0, greedy_total = 0, fallback_trials = 0;
-  for (int trial = 0; trial < 60; ++trial) {
-    gf2::BitVec errors(code.num_qubits());
-    for (size_t e = 0; e < code.num_qubits(); ++e) {
-      if (rng.bernoulli(0.10)) errors.set(e, true);
-    }
-    const gf2::BitVec syndrome = code.plaquette_syndrome(errors);
-    if (syndrome.popcount() <= MwpmOptions{}.exact_limit) continue;
-    ++fallback_trials;
-    const gf2::BitVec mwpm_corr = exact_dec.decode(syndrome);
-    const gf2::BitVec greedy_corr = greedy_dec.decode(syndrome);
-    EXPECT_EQ(code.plaquette_syndrome(mwpm_corr), syndrome);
-    mwpm_total += mwpm_corr.popcount();
-    greedy_total += greedy_corr.popcount();
-  }
-  ASSERT_GT(fallback_trials, 10u) << "noise too weak to exercise the fallback";
-  EXPECT_LE(mwpm_total, greedy_total);
-}
-
 TEST(SpacetimeDecoder, SingleDataErrorIsCorrectedExactly) {
   const ToricCode code(4);
-  const SpacetimeToricDecoder decoder(code, ToricSide::kPlaquette, mwpm());
+  const SpacetimeToricDecoder decoder(code, ToricSide::kPlaquette, blossom());
   gf2::BitVec errors(code.num_qubits());
   errors.set(code.h_edge(1, 1), true);
   const gf2::BitVec truth = code.plaquette_syndrome(errors);
@@ -290,7 +264,7 @@ TEST(SpacetimeDecoder, SingleDataErrorIsCorrectedExactly) {
 
 TEST(SpacetimeDecoder, SingleMeasurementErrorNeedsNoCorrection) {
   const ToricCode code(4);
-  const SpacetimeToricDecoder decoder(code, ToricSide::kPlaquette, mwpm());
+  const SpacetimeToricDecoder decoder(code, ToricSide::kPlaquette, blossom());
   const gf2::BitVec vacuum(code.num_plaquettes());
   gf2::BitVec misread = vacuum;
   misread.set(5, true);  // one flipped syndrome bit in round 1 only
@@ -300,7 +274,7 @@ TEST(SpacetimeDecoder, SingleMeasurementErrorNeedsNoCorrection) {
 
 TEST(SpacetimeDecoder, DistinguishesDataFromMeasurementError) {
   const ToricCode code(4);
-  const SpacetimeToricDecoder decoder(code, ToricSide::kPlaquette, mwpm());
+  const SpacetimeToricDecoder decoder(code, ToricSide::kPlaquette, blossom());
   gf2::BitVec errors(code.num_qubits());
   errors.set(code.v_edge(0, 2), true);
   const gf2::BitVec truth = code.plaquette_syndrome(errors);
@@ -315,7 +289,7 @@ TEST(SpacetimeDecoder, DistinguishesDataFromMeasurementError) {
 
 TEST(SpacetimeDecoder, PhenomenologicalRunsAlwaysClearTheFinalSyndrome) {
   const ToricCode code(4);
-  const SpacetimeToricDecoder decoder(code, ToricSide::kPlaquette, mwpm());
+  const SpacetimeToricDecoder decoder(code, ToricSide::kPlaquette, blossom());
   size_t failures = 0;
   for (uint64_t seed = 0; seed < 200; ++seed) {
     const auto result =
@@ -331,7 +305,7 @@ TEST(SpacetimeDecoder, FailureFallsWithLatticeSizeBelowThreshold) {
   const double p = 0.015;
   const auto failure_rate = [&](size_t lattice, size_t shots) {
     const ToricCode code(lattice);
-    const SpacetimeToricDecoder decoder(code, ToricSide::kPlaquette, mwpm());
+    const SpacetimeToricDecoder decoder(code, ToricSide::kPlaquette, blossom());
     size_t failures = 0;
     for (uint64_t seed = 0; seed < shots; ++seed) {
       failures += run_phenomenological_memory(decoder, p, p, lattice,
@@ -351,7 +325,7 @@ TEST(SpacetimeDecoder, PurelyTimelikeDefectsNeedNoCorrection) {
   // time-like and the spatial projection — the data correction — is empty.
   const ToricCode code(4);
   const std::vector<std::shared_ptr<const MatchingStrategy>> strategies = {
-      greedy(), mwpm(), blossom()};
+      greedy(), blossom()};
   for (const auto& strategy : strategies) {
     const SpacetimeToricDecoder decoder(code, ToricSide::kPlaquette, strategy);
     const std::vector<uint32_t> sites = {0, 0, 7, 7, 12, 12};
@@ -365,7 +339,7 @@ TEST(SpacetimeDecoder, PurelyTimelikeDefectsNeedNoCorrection) {
 // correction a serial decode of lane l's unpacked syndrome history returns.
 TEST(BatchDecode, LanesAreBitIdenticalToSerialDecode) {
   const ToricCode code(6);
-  const SpacetimeToricDecoder decoder(code, ToricSide::kPlaquette, mwpm());
+  const SpacetimeToricDecoder decoder(code, ToricSide::kPlaquette, blossom());
   const size_t sites = code.num_plaquettes();
   const size_t rounds = 5;  // noisy rounds; +1 trusted closing row
   Rng rng(91);
@@ -411,7 +385,7 @@ TEST(BatchDecode, LanesAreBitIdenticalToSerialDecode) {
 
 TEST(BatchDecode, MemoryKernelIsDeterministicAndHandlesTailLanes) {
   const ToricCode code(4);
-  const SpacetimeToricDecoder decoder(code, ToricSide::kPlaquette, mwpm());
+  const SpacetimeToricDecoder decoder(code, ToricSide::kPlaquette, blossom());
   // 100 shots = one full 64-lane word plus a 36-lane tail word.
   const uint64_t first = batch_memory_2d_failures(decoder, 0.08, 100, 42);
   const uint64_t second = batch_memory_2d_failures(decoder, 0.08, 100, 42);
@@ -454,7 +428,7 @@ TEST(DetectorErrorModel, SingleFaultsFireOnlyNearestNeighborDetectorPairs) {
 TEST(DetectorErrorModel, CircuitMemoryShotsAlwaysClearTheFinalSyndrome) {
   const ToricCode code(4);
   const ToricDem dem = ToricDem::build(code, ToricSide::kPlaquette);
-  const SpacetimeToricDecoder decoder(code, ToricSide::kPlaquette, mwpm(),
+  const SpacetimeToricDecoder decoder(code, ToricSide::kPlaquette, blossom(),
                                       dem.weights_at(0.004));
   PhenomenologicalScratch scratch;
   size_t failures = 0;
@@ -466,42 +440,6 @@ TEST(DetectorErrorModel, CircuitMemoryShotsAlwaysClearTheFinalSyndrome) {
   }
   // eps = 0.4% sits well below the ~1.4% circuit-level threshold.
   EXPECT_LT(failures, 16u);
-}
-
-TEST(DecoderInterface, StrategiesArePluggableThroughOneCallSite) {
-  const ToricCode code(6);
-  Rng rng(79);
-  gf2::BitVec errors(code.num_qubits());
-  for (size_t e = 0; e < code.num_qubits(); ++e) {
-    if (rng.bernoulli(0.04)) errors.set(e, true);
-  }
-  const gf2::BitVec syndrome = code.plaquette_syndrome(errors);
-  const std::vector<std::shared_ptr<const MatchingStrategy>> strategies = {
-      greedy(), mwpm(), blossom()};
-  for (const auto& strategy : strategies) {
-    const std::unique_ptr<Decoder> decoder =
-        std::make_unique<ToricMatchingDecoder>(code, ToricSide::kPlaquette,
-                                               strategy);
-    EXPECT_EQ(code.plaquette_syndrome(decoder->decode(syndrome)), syndrome)
-        << decoder->name();
-  }
-}
-
-TEST(DecoderInterface, ToricCodeWrapperStillUsesGreedyStrategy) {
-  // ToricCode::decode_plaquette_syndrome delegates to the subsystem with the
-  // greedy strategy; pin the equivalence so the rewire stays honest.
-  const ToricCode code(6);
-  const ToricMatchingDecoder greedy_dec(code, ToricSide::kPlaquette, greedy());
-  Rng rng(83);
-  for (int trial = 0; trial < 25; ++trial) {
-    gf2::BitVec errors(code.num_qubits());
-    for (size_t e = 0; e < code.num_qubits(); ++e) {
-      if (rng.bernoulli(0.06)) errors.set(e, true);
-    }
-    const gf2::BitVec syndrome = code.plaquette_syndrome(errors);
-    EXPECT_EQ(code.decode_plaquette_syndrome(syndrome),
-              greedy_dec.decode(syndrome));
-  }
 }
 
 }  // namespace

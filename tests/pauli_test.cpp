@@ -2,6 +2,7 @@
 
 #include <array>
 #include <complex>
+#include <ostream>
 
 #include "pauli/pauli_string.h"
 
@@ -63,6 +64,13 @@ struct MulCase {
   const char* b;
   const char* expect;
 };
+
+// CTest names each case after its printed parameter ("…/X_times_Y"); without
+// this, gtest prints the struct's bytes, i.e. the literals' addresses, and
+// the names change with every build and run.
+void PrintTo(const MulCase& c, std::ostream* os) {
+  *os << c.a << "_times_" << c.b;
+}
 
 class PauliMulTable : public ::testing::TestWithParam<MulCase> {};
 

@@ -1,7 +1,7 @@
 // The electric (Z-error / star-defect) side of the toric code: duality with
-// the magnetic side, decoder correctness through the src/decode interface
-// (greedy, exact MWPM and the 3D space-time variant), and the combined
-// depolarizing memory.
+// the magnetic side, decoder correctness through src/decode (greedy and
+// blossom MWPM on one perfect snapshot, and the 3D space-time decoder over
+// faulty rounds), and the combined depolarizing memory.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,13 +10,21 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "decode/decoder.h"
+#include "decode/blossom.h"
 #include "decode/matching.h"
 #include "decode/spacetime.h"
 #include "topo/toric_code.h"
 
 namespace ftqc::topo {
 namespace {
+
+// Greedy matching of one perfect snapshot of `side` (a one-round trusted
+// history): the toric code's ~8% baseline decoder.
+gf2::BitVec greedy_correction(const ToricCode& code, decode::ToricSide side,
+                              const gf2::BitVec& syndrome) {
+  static const auto greedy = std::make_shared<const decode::GreedyMatching>();
+  return decode::SpacetimeToricDecoder(code, side, greedy).decode({syndrome});
+}
 
 TEST(ToricDual, SingleZErrorCreatesChargePair) {
   const ToricCode code(4);
@@ -34,7 +42,8 @@ TEST(ToricDual, StarDecoderClearsSyndrome) {
       if (rng.bernoulli(0.03)) errors.set(e, true);
     }
     gf2::BitVec residual = errors;
-    residual ^= code.decode_star_syndrome(code.star_syndrome(errors));
+    residual ^= greedy_correction(code, decode::ToricSide::kStar,
+                                  code.star_syndrome(errors));
     EXPECT_FALSE(code.star_syndrome(residual).any());
   }
 }
@@ -66,9 +75,11 @@ TEST(ToricDual, StarsAndPlaquettesDecodeIndependently) {
       if (roll >= 1 && roll < 3) z_errors.set(e, true);  // Z (and Y overlap)
     }
     gf2::BitVec rx = x_errors;
-    rx ^= code.decode_plaquette_syndrome(code.plaquette_syndrome(x_errors));
+    rx ^= greedy_correction(code, decode::ToricSide::kPlaquette,
+                            code.plaquette_syndrome(x_errors));
     gf2::BitVec rz = z_errors;
-    rz ^= code.decode_star_syndrome(code.star_syndrome(z_errors));
+    rz ^= greedy_correction(code, decode::ToricSide::kStar,
+                            code.star_syndrome(z_errors));
     EXPECT_FALSE(code.plaquette_syndrome(rx).any());
     EXPECT_FALSE(code.star_syndrome(rz).any());
   }
@@ -86,7 +97,8 @@ TEST(ToricDual, ZMemoryFailureDropsWithLatticeSize) {
         if (rng.bernoulli(p)) errors.set(e, true);
       }
       gf2::BitVec residual = errors;
-      residual ^= code.decode_star_syndrome(code.star_syndrome(errors));
+      residual ^= greedy_correction(code, decode::ToricSide::kStar,
+                                    code.star_syndrome(errors));
       const auto [f1, f2] = code.logical_z_flips(residual);
       failures += (f1 || f2) ? 1 : 0;
     }
@@ -96,16 +108,13 @@ TEST(ToricDual, ZMemoryFailureDropsWithLatticeSize) {
 }
 
 TEST(ToricDual, StarMwpmDecoderClearsSyndromeAtOrBelowGreedyCost) {
-  // The electric side through the pluggable Decoder interface: exact MWPM
-  // clears every charge syndrome and never pays more total geodesic length
-  // than the greedy strategy.
+  // The electric side on one perfect snapshot: exact MWPM clears every
+  // charge syndrome and never pays more total geodesic length than the
+  // greedy strategy.
   const ToricCode code(6);
-  const auto mwpm = std::make_shared<const decode::MwpmMatching>();
-  const auto greedy = std::make_shared<const decode::GreedyMatching>();
-  const decode::ToricMatchingDecoder mwpm_dec(code, decode::ToricSide::kStar,
-                                              mwpm);
-  const decode::ToricMatchingDecoder greedy_dec(code, decode::ToricSide::kStar,
-                                                greedy);
+  const auto mwpm = std::make_shared<const decode::BlossomMatching>();
+  const decode::SpacetimeToricDecoder mwpm_dec(code, decode::ToricSide::kStar,
+                                               mwpm);
   Rng rng(47);
   for (int trial = 0; trial < 50; ++trial) {
     gf2::BitVec errors(code.num_qubits());
@@ -113,9 +122,11 @@ TEST(ToricDual, StarMwpmDecoderClearsSyndromeAtOrBelowGreedyCost) {
       if (rng.bernoulli(0.05)) errors.set(e, true);
     }
     const gf2::BitVec syndrome = code.star_syndrome(errors);
-    const gf2::BitVec mwpm_corr = mwpm_dec.decode(syndrome);
+    const gf2::BitVec mwpm_corr = mwpm_dec.decode({syndrome});
     EXPECT_FALSE(code.star_syndrome(errors ^ mwpm_corr).any());
-    EXPECT_LE(mwpm_corr.popcount(), greedy_dec.decode(syndrome).popcount());
+    EXPECT_LE(mwpm_corr.popcount(),
+              greedy_correction(code, decode::ToricSide::kStar, syndrome)
+                  .popcount());
   }
 }
 
@@ -124,9 +135,9 @@ TEST(ToricDual, StarMwpmMatchesBruteForceMinimumWeightL2) {
   // L=2 torus, enumerate all 2^8 Z-error patterns, record the minimum weight
   // per star syndrome, and demand the MWPM correction meets it exactly.
   const ToricCode code(2);
-  const auto mwpm = std::make_shared<const decode::MwpmMatching>();
-  const decode::ToricMatchingDecoder decoder(code, decode::ToricSide::kStar,
-                                             mwpm);
+  const auto mwpm = std::make_shared<const decode::BlossomMatching>();
+  const decode::SpacetimeToricDecoder decoder(code, decode::ToricSide::kStar,
+                                              mwpm);
   constexpr size_t kUnreachable = std::numeric_limits<size_t>::max();
   std::vector<size_t> min_weight(size_t{1} << code.num_vertices(), kUnreachable);
   for (uint64_t pattern = 0; pattern < (uint64_t{1} << code.num_qubits());
@@ -145,7 +156,7 @@ TEST(ToricDual, StarMwpmMatchesBruteForceMinimumWeightL2) {
     for (size_t b = 0; b < code.num_vertices(); ++b) {
       syndrome.set(b, ((s >> b) & 1) != 0);
     }
-    const gf2::BitVec correction = decoder.decode(syndrome);
+    const gf2::BitVec correction = decoder.decode({syndrome});
     EXPECT_EQ(code.star_syndrome(correction), syndrome);
     EXPECT_EQ(correction.popcount(), min_weight[s]) << "syndrome " << s;
   }
@@ -153,7 +164,7 @@ TEST(ToricDual, StarMwpmMatchesBruteForceMinimumWeightL2) {
 
 TEST(ToricDual, StarSpacetimeSingleZErrorIsCorrectedExactly) {
   const ToricCode code(4);
-  const auto mwpm = std::make_shared<const decode::MwpmMatching>();
+  const auto mwpm = std::make_shared<const decode::BlossomMatching>();
   const decode::SpacetimeToricDecoder decoder(code, decode::ToricSide::kStar,
                                               mwpm);
   gf2::BitVec errors(code.num_qubits());
@@ -168,7 +179,7 @@ TEST(ToricDual, StarSpacetimeSingleZErrorIsCorrectedExactly) {
 
 TEST(ToricDual, StarSpacetimeMeasurementErrorNeedsNoCorrection) {
   const ToricCode code(4);
-  const auto mwpm = std::make_shared<const decode::MwpmMatching>();
+  const auto mwpm = std::make_shared<const decode::BlossomMatching>();
   const decode::SpacetimeToricDecoder decoder(code, decode::ToricSide::kStar,
                                               mwpm);
   const gf2::BitVec vacuum(code.num_vertices());
@@ -182,7 +193,7 @@ TEST(ToricDual, StarSpacetimePhenomenologicalMemoryStaysBelowThreshold) {
   // Faulty charge measurement: every run must clear the trusted final
   // syndrome, and at p = q = 1% the logical Z failure stays rare.
   const ToricCode code(4);
-  const auto mwpm = std::make_shared<const decode::MwpmMatching>();
+  const auto mwpm = std::make_shared<const decode::BlossomMatching>();
   const decode::SpacetimeToricDecoder decoder(code, decode::ToricSide::kStar,
                                               mwpm);
   size_t failures = 0;

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
+#include "decode/matching.h"
+#include "decode/spacetime.h"
 #include "topo/anyon_gates.h"
 #include "topo/anyon_sim.h"
 #include "topo/perm.h"
@@ -14,6 +17,16 @@ namespace {
 const A5& group() {
   static const A5 g;
   return g;
+}
+
+// Greedy matching of one perfect plaquette snapshot (a one-round trusted
+// history): the toric code's ~8% baseline decoder.
+gf2::BitVec greedy_plaquette_correction(const ToricCode& code,
+                                        const gf2::BitVec& syndrome) {
+  static const auto greedy = std::make_shared<const decode::GreedyMatching>();
+  return decode::SpacetimeToricDecoder(code, decode::ToricSide::kPlaquette,
+                                       greedy)
+      .decode({syndrome});
 }
 
 TEST(Perm, CycleConstructionAndComposition) {
@@ -287,7 +300,7 @@ TEST(ToricCode, DecoderClearsSyndromeAndFixesSparseErrors) {
       if (rng.bernoulli(0.02)) errors.set(e, true);
     }
     const auto syndrome = code.plaquette_syndrome(errors);
-    const auto correction = code.decode_plaquette_syndrome(syndrome);
+    const auto correction = greedy_plaquette_correction(code, syndrome);
     gf2::BitVec residual = errors;
     residual ^= correction;
     EXPECT_FALSE(code.plaquette_syndrome(residual).any())
@@ -309,7 +322,8 @@ TEST(ToricCode, LogicalFailureDropsWithLatticeSize) {
         if (rng.bernoulli(p)) errors.set(e, true);
       }
       gf2::BitVec residual = errors;
-      residual ^= code.decode_plaquette_syndrome(code.plaquette_syndrome(errors));
+      residual ^=
+          greedy_plaquette_correction(code, code.plaquette_syndrome(errors));
       const auto [f1, f2] = code.logical_x_flips(residual);
       failures += (f1 || f2) ? 1 : 0;
     }

@@ -35,6 +35,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/cli.h"
 #include "sim/sweep_scheduler.h"
 
 namespace {
@@ -120,17 +121,13 @@ Args parse_args(int argc, char** argv) {
     } else if (std::strncmp(arg, "--only=", 7) == 0) {
       args.only = arg + 7;
     } else if (std::strncmp(arg, "--workers=", 10) == 0) {
-      args.sweep.workers =
-          static_cast<size_t>(std::strtoull(arg + 10, nullptr, 10));
+      args.sweep.workers = ftqc::parse_count_flag("--workers", arg + 10);
     } else if (std::strncmp(arg, "--max-points=", 13) == 0) {
-      args.sweep.max_points =
-          static_cast<size_t>(std::strtoull(arg + 13, nullptr, 10));
+      args.sweep.max_points = ftqc::parse_count_flag("--max-points", arg + 13);
     } else if (std::strncmp(arg, "--timeout=", 10) == 0) {
-      args.timeout_secs =
-          static_cast<size_t>(std::strtoull(arg + 10, nullptr, 10));
+      args.timeout_secs = ftqc::parse_count_flag("--timeout", arg + 10);
     } else if (std::strncmp(arg, "--backoff=", 10) == 0) {
-      args.backoff_secs =
-          static_cast<size_t>(std::strtoull(arg + 10, nullptr, 10));
+      args.backoff_secs = ftqc::parse_count_flag("--backoff", arg + 10);
     } else if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
       usage(argv[0]);
       std::exit(0);
