@@ -55,6 +55,9 @@ void batch_on_prep(sim::BatchFrameSim& sim, const sim::NoiseParams& noise,
 
 void batch_on_storage(sim::BatchFrameSim& sim, const sim::NoiseParams& noise,
                       uint32_t q, const uint64_t* lane_mask) {
+  // Most drivers run with eps_store = 0, where the channel would draw
+  // nothing anyway; skipping the call leaves every stream as it was.
+  if (noise.eps_store == 0) return;
   batch_pauli1(sim, noise, q, noise.eps_store, lane_mask);
 }
 
@@ -156,7 +159,12 @@ std::vector<size_t> BatchGadgetRunner::run(
   rows.reserve(circuit.num_measurements());
   std::fill(touched_.begin(), touched_.end(), false);
 
+  // Storage locations are free at eps_store = 0: no channel there would
+  // draw anything, so the flush returns before walking the resting qubits
+  // (touched_ is then never read, and the next run() clears it).
+  const bool storage_noise = noise_.eps_store != 0;
   const auto flush_storage = [&] {
+    if (!storage_noise) return;
     for (uint32_t q : active_qubits) {
       if (!touched_[q]) batch_on_storage(sim_, noise_, q, lane_mask);
     }

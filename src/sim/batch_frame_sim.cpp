@@ -88,27 +88,38 @@ BatchFrameSim::HitWords BatchFrameSim::fill_hit_words(double p) {
     hit_dense_ = true;
     return {hit_.data(), nullptr, 0, true};
   }
+  // Drivers call the channels at a handful of distinct rates, so the log1p
+  // and the division are paid only when the rate changes. A NaN rate slips
+  // past both guards above and would walk forever; NaN != NaN sends it here.
+  if (p != skip_p_) {
+    FTQC_CHECK(!std::isnan(p), "fill_hit_words: probability is NaN");
+    skip_p_ = p;
+    skip_inv_ = 1.0 / std::log1p(-p);
+  }
   // Sample the set-bit positions via geometric skipping over the whole shot
-  // register: ~shots*p skip draws per channel call (precomputed in blocks,
-  // see next_skip_log), not one per word (the original per-word restart)
-  // and not one per bit. The cache is consumed block-wise with all loop
-  // state in locals — calling the out-of-line refill from inside the hot
-  // loop would force the members to be reloaded on every iteration.
-  const double inv = 1.0 / std::log1p(-p);
+  // register: one skip per hit plus the one that overshoots the register,
+  // not one per word and not one per bit. The cache is consumed with all
+  // loop state in locals — calling the out-of-line refill from inside the
+  // hot loop would force the members to be reloaded on every iteration.
+  const double inv = skip_inv_;
   const auto total = static_cast<double>(shots_);
   uint64_t* const hit = hit_.data();
   uint32_t* const dirty = hit_dirty_.data();
   size_t ndirty = 0;
   uint32_t last = ~uint32_t{0};
   double position = -1.0;  // the +1 below makes the first skip start at 0
+  size_t chunk = kFirstChunk;
   for (;;) {
     if (skip_pos_ == kFillBlock) refill_skip_log();
     const double* const cache = skip_log_.data() + skip_pos_;
-    const size_t avail = kFillBlock - skip_pos_;
-    // Two passes per block. The skip lengths are elementwise in the cached
-    // logs (no loop-carried dependency, so this pass vectorizes); the walk
-    // below then carries only a bare add chain per hit instead of
-    // mul+floor+add, which at dense p was the fill's critical path.
+    const size_t avail = std::min(chunk, kFillBlock - skip_pos_);
+    chunk = std::min(2 * chunk, kFillBlock);
+    // Two passes per chunk. The skip lengths are elementwise in the cached
+    // logs (no loop-carried dependency); the walk below then carries only a
+    // bare add chain per hit instead of mul+floor+add, which at dense p was
+    // the fill's critical path. Chunks start small and double, so a sparse
+    // call converts about as many logs as it consumes, and a dense one
+    // still runs the first pass over full blocks.
     double skips[kFillBlock];
     for (size_t i = 0; i < avail; ++i) {
       skips[i] = 1.0 + std::floor(cache[i] * inv);

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <vector>
 
 #include "codes/library.h"
 #include "common/errors.h"
@@ -210,6 +211,46 @@ TEST(BatchRecovery, RejectsLeakageWithStructuredError) {
   EXPECT_THROW(universal::BatchFlagRecovery(codes::steane(), noise,
                                             RecoveryPolicy{}, 64, 1),
                UnsupportedChannel);
+}
+
+// Storage noise lands on the active qubits that rest through a layer, on
+// the masked lanes only; at eps_store = 0 the runner skips those locations
+// without touching a frame or a draw. Two layers: q0 rests in the second,
+// q1 in the first, q2 works in both, and q3 is outside the active set.
+TEST(BatchGadgetRunner, StorageNoiseHitsRestingActiveQubitsOnMaskedLanes) {
+  sim::Circuit layers(4);
+  layers.h(0);
+  layers.h(2);
+  layers.tick();
+  layers.h(1);
+  layers.h(2);
+  layers.tick();
+  const std::vector<uint32_t> active = {0, 1, 2};
+  const std::vector<uint64_t> lanes = {0x5555555555555555ull, 0,
+                                       ~uint64_t{0}};
+  constexpr uint64_t kSeed = 31;
+
+  sim::NoiseParams storage_only;
+  storage_only.eps_store = 1.0;  // every masked lane takes a Pauli
+  sim::BatchFrameSim noisy(4, 3 * 64, kSeed);
+  BatchGadgetRunner(noisy, storage_only).run(layers, active, lanes.data());
+  for (size_t shot = 0; shot < noisy.num_shots(); ++shot) {
+    const bool masked = (lanes[shot >> 6] >> (shot & 63)) & 1u;
+    for (uint32_t q = 0; q < 4; ++q) {
+      const bool flipped = noisy.x_flip(q, shot) || noisy.z_flip(q, shot);
+      EXPECT_EQ(flipped, masked && q < 2) << "qubit " << q << " shot " << shot;
+    }
+  }
+
+  sim::BatchFrameSim quiet(4, 3 * 64, kSeed), untouched(4, 3 * 64, kSeed);
+  BatchGadgetRunner(quiet, kNoiseless).run(layers, active, lanes.data());
+  for (uint32_t q = 0; q < 4; ++q) {
+    for (size_t w = 0; w < quiet.num_words(); ++w) {
+      EXPECT_EQ(quiet.x_flips(q)[w], 0u) << "qubit " << q << " word " << w;
+      EXPECT_EQ(quiet.z_flips(q)[w], 0u) << "qubit " << q << " word " << w;
+    }
+  }
+  EXPECT_EQ(quiet.rng().next_u64(), untouched.rng().next_u64());
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 // seed alone.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -442,6 +443,15 @@ TEST(BoundaryChannels, BatchZeroProbabilityConsumesNoRng) {
     hits += a.x_flip(0, shot);
   }
   EXPECT_GT(hits, 0u);  // the p = 0.25 channel really fired
+}
+
+TEST(BoundaryChannels, BatchNanProbabilityDies) {
+  // NaN passes both the p <= 0 and the p >= 1 guard; unchecked, the
+  // geometric walk never reaches the end of the register. A fill at a real
+  // rate first, so the NaN arrives with a cached 1/log1p(-p) in place.
+  BatchFrameSim batch(2, 128, /*seed=*/9);
+  batch.depolarize1(1, 0.01);
+  EXPECT_DEATH(batch.x_error(0, std::nan("")), "probability is NaN");
 }
 
 TEST(BoundaryChannels, BatchCertainHitFillsEveryLane) {

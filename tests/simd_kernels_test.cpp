@@ -287,9 +287,11 @@ TEST_F(SimdKernelsTest, NoisyBatchGadgetIsBitIdenticalAcrossLevels) {
 }
 
 // Mirrors BatchFrameSim's geometric-skip sampler draw for draw: blocks of
-// kFillBlock uniforms transformed through simd::log_unit, consumed lazily
-// across fills (leftovers carry between channel calls with different p).
-// Any change to the fill's RNG stream shows up here as a bit mismatch.
+// kFillBlock uniforms transformed through simd::log_unit, consumed one log
+// at a time across fills (leftovers carry between channel calls with
+// different p). It is the reference for the fill's chunked skip lengths
+// and cached 1/log1p(-p): any change to the RNG stream shows up here as a
+// bit mismatch.
 class FillMirror {
  public:
   explicit FillMirror(uint64_t seed, size_t shots)
@@ -351,37 +353,45 @@ class FillMirror {
 
 TEST_F(SimdKernelsTest, FillHitWordsMatchesDrawOrderMirror) {
   constexpr uint64_t kSeed = 98765;
-  constexpr size_t kShots = 13 * 64;  // tails at both vector widths
-  sim::BatchFrameSim sim(/*num_qubits=*/1, kShots, kSeed);
-  FillMirror mirror(kSeed, kShots);
-  // Interleave sparse, dense, degenerate, and moderate p: the leftover skip
-  // logs must carry across calls, the dense path must not consume draws,
-  // and the scratch must come back clean after every shape of fill.
-  const double ps[] = {1e-3, 0.0, 0.4, 1.0, 1e-5, 0.08, 1.5, 1e-3, 0.25};
-  for (const double p : ps) {
-    SCOPED_TRACE(p);
-    const auto expected = mirror.fill(p);
-    const auto got = sim.fill_hit_words(p);
-    if (expected.dense) {
-      ASSERT_TRUE(got);
-      EXPECT_TRUE(got.dense);
-      for (size_t w = 0; w < sim.num_words(); ++w) {
-        EXPECT_EQ(got.bits[w], ~uint64_t{0});
+  // One word; 13 words, with tails at both vector widths; and a register
+  // whose dense fills run many chunks and cache refills inside one call.
+  for (const size_t shots : {size_t{64}, size_t{13 * 64}, size_t{65536}}) {
+    SCOPED_TRACE(shots);
+    sim::BatchFrameSim sim(/*num_qubits=*/1, shots, kSeed);
+    FillMirror mirror(kSeed, shots);
+    const auto check = [&](double p) {
+      SCOPED_TRACE(p);
+      const auto expected = mirror.fill(p);
+      const auto got = sim.fill_hit_words(p);
+      if (expected.empty) {
+        EXPECT_FALSE(got);
+        return;
       }
-      continue;
+      ASSERT_TRUE(got);
+      EXPECT_EQ(got.dense, expected.dense);
+      EXPECT_EQ(std::vector<uint64_t>(got.bits, got.bits + sim.num_words()),
+                expected.hit);
+      if (!expected.dense) {
+        EXPECT_EQ(std::vector<uint32_t>(got.dirty, got.dirty + got.num_dirty),
+                  expected.dirty);
+      }
+    };
+    // Interleave sparse, dense, degenerate, and moderate p: the leftover
+    // skip logs must carry across calls, the dense path must not consume
+    // draws, and the scratch must come back clean after every shape of
+    // fill.
+    for (const double p : {1e-3, 0.0, 0.4, 1.0, 1e-5, 0.08, 1.5, 1e-3, 0.25}) {
+      check(p);
+      if (HasFailure()) return;
     }
-    if (expected.empty) {
-      EXPECT_FALSE(got);
-      continue;
-    }
-    ASSERT_TRUE(got);
-    EXPECT_FALSE(got.dense);
-    for (size_t w = 0; w < sim.num_words(); ++w) {
-      EXPECT_EQ(got.bits[w], expected.hit[w]) << "word " << w;
-    }
-    ASSERT_EQ(got.num_dirty, expected.dirty.size());
-    for (size_t i = 0; i < got.num_dirty; ++i) {
-      EXPECT_EQ(got.dirty[i], expected.dirty[i]) << "dirty index " << i;
+    // Then a seeded run of fills whose rate repeats or changes at random,
+    // so the cached 1/log1p(-p) is both reused and replaced, and fills end
+    // at many offsets within a skip-length chunk and within the log cache.
+    const double rates[] = {0.0, 1e-5, 1e-3, 0.02, 0.3, 1.0};
+    Rng pick(kSeed + shots);
+    for (int fill = 0; fill < 300; ++fill) {
+      check(rates[pick.next_below(std::size(rates))]);
+      if (HasFailure()) return;
     }
   }
 }
