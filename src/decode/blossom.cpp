@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <vector>
 
@@ -22,41 +21,21 @@ namespace {
 // doubled inside the slack arithmetic (slack(e) = lab[u] + lab[v] - 2 w(e)),
 // vertex duals move by d and blossom duals by 2d per dual adjustment, so all
 // quantities stay integral for integral weights.
+//
+// Storage: an edge between two original vertices is never written after
+// set-up, so it is read straight from the complement weight matrix. Only
+// contracted blossoms store an adjacency row (one Edge per id); the entry
+// from an original vertex x to a blossom b is row b's entry x reversed, and
+// blossom-blossom entries are kept in both rows. One instance lives per
+// thread and keeps every buffer across solves, so a steady-state solve
+// allocates nothing.
 class BlossomSolver {
  public:
-  BlossomSolver(size_t n, const std::vector<int64_t>& weight)
-      : n_(static_cast<int>(n)),
-        ids_(2 * n + 1),
-        g_(ids_ * ids_),
-        lab_(ids_, 0),
-        match_(ids_, 0),
-        slack_(ids_, 0),
-        st_(ids_, 0),
-        pa_(ids_, 0),
-        flower_(ids_),
-        flower_from_(ids_, std::vector<int>(n + 1, 0)),
-        s_(ids_, -1),
-        vis_(ids_, 0) {
-    n_x_ = n_;
-    int64_t w_max = 0;
-    for (int u = 1; u <= n_; ++u) {
-      st_[u] = u;
-      flower_from_[u][u] = u;
-      for (int v = 1; v <= n_; ++v) {
-        const int64_t w =
-            u == v ? 0
-                   : weight[static_cast<size_t>(u - 1) * n_ +
-                            static_cast<size_t>(v - 1)];
-        g_at(u, v) = {u, v, w};
-        w_max = std::max(w_max, w);
-      }
-    }
-    for (int u = 1; u <= n_; ++u) lab_[u] = w_max;
-  }
-
   // Runs augmentation phases to exhaustion and returns the matched partner of
   // every original vertex (1-indexed; FTQC_CHECKed perfect by the caller).
-  const std::vector<int>& solve() {
+  // Reads only the strict upper triangle of the row-major n x n `weights`.
+  const std::vector<int>& solve(size_t n, std::span<const size_t> weights) {
+    reset(n, weights);
     while (grow_forest()) {
     }
     return match_;
@@ -71,30 +50,108 @@ class BlossomSolver {
 
   static constexpr int64_t kInf = std::numeric_limits<int64_t>::max() / 4;
 
-  Edge& g_at(int u, int v) {
-    return g_[static_cast<size_t>(u) * ids_ + static_cast<size_t>(v)];
+  // The complement transform w' = w_max + 1 - w turns minimization into
+  // maximization with all-positive weights, so on the complete defect graph
+  // the maximum-weight matching is perfect and minimizes the original sum.
+  void reset(size_t n, std::span<const size_t> weights) {
+    constexpr size_t kMaxWeight = size_t{1} << 40;
+    size_t w_max = 0;
+    size_t w_min = std::numeric_limits<size_t>::max();
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = i + 1; j < n; ++j) {
+        const size_t d = weights[i * n + j];
+        FTQC_CHECK(d < kMaxWeight, "metric too large for exact matching duals");
+        w_max = std::max(w_max, d);
+        w_min = std::min(w_min, d);
+      }
+    }
+    const int64_t flip = static_cast<int64_t>(w_max) + 1;
+
+    n_ = static_cast<int>(n);
+    n_x_ = n_;
+    ids_ = 2 * n_ + 1;
+    stride_ = static_cast<size_t>(n_) + 1;
+    const size_t ids = static_cast<size_t>(ids_);
+    weight_.resize(stride_ * stride_);
+    for (int u = 1; u <= n_; ++u) {
+      int64_t* row = &weight_[static_cast<size_t>(u) * stride_];
+      row[u] = 0;
+      for (int v = u + 1; v <= n_; ++v) {
+        const int64_t w =
+            flip - static_cast<int64_t>(
+                       weights[static_cast<size_t>(u - 1) * n +
+                               static_cast<size_t>(v - 1)]);
+        row[v] = w;
+        weight_[static_cast<size_t>(v) * stride_ + static_cast<size_t>(u)] =
+            w;
+      }
+    }
+    for (auto* buffer : {&match_, &slack_, &st_, &pa_, &vis_}) {
+      buffer->assign(ids, 0);
+    }
+    s_.assign(ids, -1);
+    lab_.assign(ids, 0);
+    // Every vertex dual starts at the largest complement weight.
+    const int64_t lab0 = flip - static_cast<int64_t>(w_min);
+    for (int u = 1; u <= n_; ++u) {
+      st_[u] = u;
+      lab_[u] = lab0;
+    }
+    vis_stamp_ = 0;
+    // Room for the up to n blossom ids n+1..2n; buffers only ever grow.
+    rows_.resize(std::max(rows_.size(), n * ids));
+    flower_from_.resize(std::max(flower_from_.size(), n * stride_));
+    flower_.resize(std::max(flower_.size(), n));
   }
-  [[nodiscard]] const Edge& g_at(int u, int v) const {
-    return g_[static_cast<size_t>(u) * ids_ + static_cast<size_t>(v)];
+
+  [[nodiscard]] int64_t weight(int u, int v) const {
+    return weight_[static_cast<size_t>(u) * stride_ + static_cast<size_t>(v)];
+  }
+  // Adjacency row, inner-vertex map and cycle of blossom b (n < b < ids_).
+  Edge* row(int b) {
+    return &rows_[static_cast<size_t>(b - n_ - 1) *
+                  static_cast<size_t>(ids_)];
+  }
+  int* flower_from(int b) {
+    return &flower_from_[static_cast<size_t>(b - n_ - 1) * stride_];
+  }
+  std::vector<int>& flower(int b) {
+    return flower_[static_cast<size_t>(b - n_ - 1)];
+  }
+
+  // The edge between ids x and y, with its original endpoints.
+  [[nodiscard]] Edge edge(int x, int y) {
+    if (x > n_) return row(x)[y];
+    if (y > n_) {
+      const Edge& e = row(y)[x];
+      return {e.v, e.u, e.w};
+    }
+    return {x, y, weight(x, y)};
   }
 
   [[nodiscard]] int64_t edge_slack(const Edge& e) const {
     return lab_[e.u] + lab_[e.v] - 2 * e.w;
   }
 
+  // Slack of the edge from original vertex u to id x (either orientation of
+  // an edge has the same slack).
+  [[nodiscard]] int64_t slack_from(int u, int x) {
+    if (x > n_) return edge_slack(row(x)[u]);
+    return lab_[u] + lab_[x] - 2 * weight(u, x);
+  }
+
   void update_slack(int u, int x) {
-    if (slack_[x] == 0 ||
-        edge_slack(g_at(u, x)) < edge_slack(g_at(slack_[x], x))) {
+    if (slack_[x] == 0 || slack_from(u, x) < slack_from(slack_[x], x)) {
       slack_[x] = u;
     }
   }
 
   void set_slack(int x) {
     slack_[x] = 0;
+    const bool blossom = x > n_;
     for (int u = 1; u <= n_; ++u) {
-      if (g_at(u, x).w > 0 && st_[u] != x && s_[st_[u]] == 0) {
-        update_slack(u, x);
-      }
+      const int64_t w = blossom ? row(x)[u].w : weight(u, x);
+      if (w > 0 && st_[u] != x && s_[st_[u]] == 0) update_slack(u, x);
     }
   }
 
@@ -102,14 +159,14 @@ class BlossomSolver {
     if (x <= n_) {
       queue_.push_back(x);
     } else {
-      for (const int inner : flower_[x]) queue_push(inner);
+      for (const int inner : flower(x)) queue_push(inner);
     }
   }
 
   void set_st(int x, int b) {
     st_[x] = b;
     if (x > n_) {
-      for (const int inner : flower_[x]) set_st(inner, b);
+      for (const int inner : flower(x)) set_st(inner, b);
     }
   }
 
@@ -117,7 +174,7 @@ class BlossomSolver {
   // the even-length alternating segment starts at the blossom's base; odd
   // positions flip the stored cycle orientation first.
   int get_pr(int b, int xr) {
-    auto& cycle = flower_[b];
+    auto& cycle = flower(b);
     const int pr = static_cast<int>(
         std::find(cycle.begin(), cycle.end(), xr) - cycle.begin());
     if (pr % 2 == 1) {
@@ -128,12 +185,12 @@ class BlossomSolver {
   }
 
   void set_match(int u, int v) {
-    match_[u] = g_at(u, v).v;
+    const Edge e = edge(u, v);
+    match_[u] = e.v;
     if (u <= n_) return;
-    const Edge e = g_at(u, v);
-    const int xr = flower_from_[u][e.u];
+    const int xr = flower_from(u)[e.u];
     const int pr = get_pr(u, xr);
-    auto& cycle = flower_[u];
+    auto& cycle = flower(u);
     for (int i = 0; i < pr; ++i) set_match(cycle[i], cycle[i ^ 1]);
     set_match(xr, v);
     std::rotate(cycle.begin(), cycle.begin() + pr, cycle.end());
@@ -165,11 +222,11 @@ class BlossomSolver {
     int b = n_ + 1;
     while (b <= n_x_ && st_[b] != 0) ++b;
     if (b > n_x_) ++n_x_;
-    FTQC_CHECK(b < static_cast<int>(ids_), "blossom id overflow");
+    FTQC_CHECK(b < ids_, "blossom id overflow");
     lab_[b] = 0;
     s_[b] = 0;
     match_[b] = match_[lca];
-    auto& cycle = flower_[b];
+    auto& cycle = flower(b);
     cycle.clear();
     cycle.push_back(lca);
     for (int x = u, y = 0; x != lca; x = st_[pa_[y]]) {
@@ -184,20 +241,30 @@ class BlossomSolver {
       queue_push(y);
     }
     set_st(b, b);
-    for (int x = 1; x <= n_x_; ++x) g_at(b, x).w = g_at(x, b).w = 0;
-    for (int x = 1; x <= n_; ++x) flower_from_[b][x] = 0;
+    Edge* row_b = row(b);
+    for (int x = 1; x <= n_x_; ++x) {
+      row_b[x].w = 0;
+      if (x > n_) row(x)[b].w = 0;
+    }
+    int* from_b = flower_from(b);
+    std::fill(from_b + 1, from_b + stride_, 0);
     // The blossom's adjacency row keeps, per outer vertex, the least-slack
     // edge leaving any inner vertex (original endpoints preserved).
     for (const int xs : cycle) {
       for (int x = 1; x <= n_x_; ++x) {
-        if (g_at(b, x).w == 0 ||
-            edge_slack(g_at(xs, x)) < edge_slack(g_at(b, x))) {
-          g_at(b, x) = g_at(xs, x);
-          g_at(x, b) = g_at(x, xs);
+        const Edge e = edge(xs, x);
+        if (row_b[x].w == 0 || edge_slack(e) < edge_slack(row_b[x])) {
+          row_b[x] = e;
+          if (x > n_) row(x)[b] = edge(x, xs);
         }
       }
-      for (int x = 1; x <= n_; ++x) {
-        if (flower_from_[xs][x] != 0) flower_from_[b][x] = xs;
+      if (xs <= n_) {
+        from_b[xs] = xs;
+      } else {
+        const int* from_xs = flower_from(xs);
+        for (int x = 1; x <= n_; ++x) {
+          if (from_xs[x] != 0) from_b[x] = xs;
+        }
       }
     }
     set_slack(b);
@@ -206,14 +273,14 @@ class BlossomSolver {
   // A T-blossom whose dual hit zero no longer pays to stay contracted; its
   // cycle re-enters the forest with alternating S/T roles along the stem.
   void expand_blossom(int b) {
-    auto& cycle = flower_[b];
+    auto& cycle = flower(b);
     for (const int inner : cycle) set_st(inner, inner);
-    const int xr = flower_from_[b][g_at(b, pa_[b]).u];
+    const int xr = flower_from(b)[row(b)[pa_[b]].u];
     const int pr = get_pr(b, xr);
     for (int i = 0; i < pr; i += 2) {
       const int xs = cycle[static_cast<size_t>(i)];
       const int xns = cycle[static_cast<size_t>(i) + 1];
-      pa_[xs] = g_at(xns, xs).u;
+      pa_[xs] = edge(xns, xs).u;
       s_[xs] = 1;
       s_[xns] = 0;
       slack_[xs] = 0;
@@ -269,17 +336,23 @@ class BlossomSolver {
     }
     if (queue_.empty()) return false;
     for (;;) {
-      while (!queue_.empty()) {
-        const int u = queue_.front();
-        queue_.pop_front();
-        if (s_[st_[u]] == 1) continue;
+      // The queue only grows while it drains; index it instead of popping.
+      for (size_t head = 0; head < queue_.size(); ++head) {
+        const int u = queue_[head];
+        int st_u = st_[u];
+        if (s_[st_u] == 1) continue;
+        // lab_[u] is fixed for the whole scan; st_[u] changes only when
+        // on_found_edge contracts a blossom, so it is re-read after each.
+        const int64_t lab_u = lab_[u];
+        const int64_t* w_u = &weight_[static_cast<size_t>(u) * stride_];
         for (int v = 1; v <= n_; ++v) {
-          if (g_at(u, v).w > 0 && st_[u] != st_[v]) {
-            if (edge_slack(g_at(u, v)) == 0) {
-              if (on_found_edge(g_at(u, v))) return true;
-            } else {
-              update_slack(u, st_[v]);
-            }
+          const int st_v = st_[v];
+          if (st_u == st_v) continue;
+          if (lab_u + lab_[v] - 2 * w_u[v] == 0) {
+            if (on_found_edge({u, v, w_u[v]})) return true;
+            st_u = st_[u];
+          } else {
+            update_slack(u, st_v);
           }
         }
       }
@@ -293,9 +366,9 @@ class BlossomSolver {
       for (int x = 1; x <= n_x_; ++x) {
         if (st_[x] == x && slack_[x] != 0) {
           if (s_[x] == -1) {
-            d = std::min(d, edge_slack(g_at(slack_[x], x)));
+            d = std::min(d, slack_from(slack_[x], x));
           } else if (s_[x] == 0) {
-            d = std::min(d, edge_slack(g_at(slack_[x], x)) / 2);
+            d = std::min(d, slack_from(slack_[x], x) / 2);
           }
         }
       }
@@ -319,8 +392,8 @@ class BlossomSolver {
       queue_.clear();
       for (int x = 1; x <= n_x_; ++x) {
         if (st_[x] == x && slack_[x] != 0 && st_[slack_[x]] != x &&
-            edge_slack(g_at(slack_[x], x)) == 0) {
-          if (on_found_edge(g_at(slack_[x], x))) return true;
+            slack_from(slack_[x], x) == 0) {
+          if (on_found_edge(edge(slack_[x], x))) return true;
         }
       }
       for (int b = n_ + 1; b <= n_x_; ++b) {
@@ -329,58 +402,40 @@ class BlossomSolver {
     }
   }
 
-  int n_;
-  int n_x_;  // one past the highest vertex/blossom id in use
-  size_t ids_;
-  std::vector<Edge> g_;
+  int n_ = 0;
+  int n_x_ = 0;  // one past the highest vertex/blossom id in use
+  int ids_ = 0;
+  size_t stride_ = 0;             // n + 1: row length of weight_, flower_from_
+  std::vector<int64_t> weight_;   // complement weights, symmetric, 1-indexed
+  std::vector<Edge> rows_;        // blossom adjacency rows, ids_ wide
   std::vector<int64_t> lab_;
   std::vector<int> match_;
   std::vector<int> slack_;  // per outer vertex: least-slack S-neighbor
   std::vector<int> st_;     // surface id: outermost blossom containing x
   std::vector<int> pa_;
-  std::vector<std::vector<int>> flower_;      // blossom cycles
-  std::vector<std::vector<int>> flower_from_; // blossom -> inner vertex owning
-                                              // the edge to each original id
+  std::vector<std::vector<int>> flower_;  // blossom cycles
+  std::vector<int> flower_from_;  // blossom rows: inner vertex owning the
+                                  // edge to each original id
   std::vector<int> s_;  // -1 free, 0 = S (even), 1 = T (odd)
   std::vector<int> vis_;
   int vis_stamp_ = 0;
-  std::deque<int> queue_;
+  std::vector<int> queue_;
 };
 
 }  // namespace
 
-std::vector<Match> BlossomMatching::match(size_t num_defects,
-                                          const DistanceFn& distance) const {
+std::vector<Match> BlossomMatching::match(
+    size_t num_defects, std::span<const size_t> weights) const {
   FTQC_CHECK(num_defects % 2 == 0, "defects come in pairs");
+  FTQC_CHECK(weights.size() == num_defects * num_defects,
+             "weight matrix must be num_defects x num_defects");
   std::vector<Match> out;
   if (num_defects == 0) return out;
 
-  // One metric evaluation per unordered pair; the complement transform
-  // w' = w_max + 1 - w turns minimization into maximization with all-positive
-  // weights, so on the complete defect graph the maximum-weight matching is
-  // perfect and minimizes the original summed metric.
-  constexpr size_t kMaxWeight = size_t{1} << 40;
-  std::vector<int64_t> weight(num_defects * num_defects, 0);
-  size_t w_max = 0;
-  for (size_t i = 0; i < num_defects; ++i) {
-    for (size_t j = i + 1; j < num_defects; ++j) {
-      const size_t d = distance(i, j);
-      FTQC_CHECK(d < kMaxWeight, "metric too large for exact matching duals");
-      weight[i * num_defects + j] = static_cast<int64_t>(d);
-      weight[j * num_defects + i] = static_cast<int64_t>(d);
-      w_max = std::max(w_max, d);
-    }
-  }
-  const int64_t flip = static_cast<int64_t>(w_max) + 1;
-  for (size_t i = 0; i < num_defects; ++i) {
-    for (size_t j = 0; j < num_defects; ++j) {
-      if (i != j) weight[i * num_defects + j] =
-          flip - weight[i * num_defects + j];
-    }
-  }
-
-  BlossomSolver solver(num_defects, weight);
-  const std::vector<int>& mate = solver.solve();
+  // One solver per thread: concurrent decodes never share buffers, and each
+  // thread's buffers only grow to the largest instance it has solved.
+  thread_local BlossomSolver solver;
+  const std::vector<int>& mate = solver.solve(num_defects, weights);
   out.reserve(num_defects / 2);
   for (size_t u = 1; u <= num_defects; ++u) {
     const int v = mate[u];

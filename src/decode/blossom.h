@@ -17,13 +17,16 @@ namespace ftqc::decode {
 // inside the slack arithmetic; odd alternating cycles contract into blossom
 // pseudo-vertices that expand lazily when their dual hits zero.
 //
-// The metric must be symmetric (distance(a, b) == distance(b, a)); it is
-// evaluated exactly once per unordered defect pair.
+// Reads only the strict upper triangle of the row-major weight matrix
+// (weights[i * n + j], i < j), taking w(j, i) = w(i, j); each weight must be
+// below 2^40. Each thread keeps one solver whose buffers are reused across
+// solves, so concurrent calls are safe and a warm solve allocates only its
+// result.
 class BlossomMatching final : public MatchingStrategy {
  public:
   [[nodiscard]] const char* name() const override { return "blossom"; }
   [[nodiscard]] std::vector<Match> match(
-      size_t num_defects, const DistanceFn& distance) const override;
+      size_t num_defects, std::span<const size_t> weights) const override;
 };
 
 }  // namespace ftqc::decode

@@ -136,9 +136,13 @@ gf2::BitVec ErasureAwareDecoder::decode(const gf2::BitVec& syndrome,
     }
   }
 
-  const auto matches = strategy_->match(n, [&](size_t a, size_t b) {
-    return dist[a][defect_site[b]];
-  });
+  std::vector<size_t> weights(n * n, 0);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = i + 1; j < n; ++j) {
+      weights[i * n + j] = dist[i][defect_site[j]];
+    }
+  }
+  const auto matches = strategy_->match(n, weights);
   for (const Match& m : matches) {
     // Walk b back to a through a's shortest-path tree, toggling each crossed
     // edge. Unlike toggle_dual_path/toggle_primal_path this follows the

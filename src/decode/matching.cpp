@@ -1,28 +1,19 @@
 #include "decode/matching.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "common/check.h"
 
 namespace ftqc::decode {
 
-std::vector<Match> GreedyMatching::match(size_t num_defects,
-                                         const DistanceFn& distance) const {
+std::vector<Match> GreedyMatching::match(
+    size_t num_defects, std::span<const size_t> weights) const {
   FTQC_CHECK(num_defects % 2 == 0, "defects come in pairs");
+  FTQC_CHECK(weights.size() == num_defects * num_defects,
+             "weight matrix must be num_defects x num_defects");
   std::vector<Match> out;
   out.reserve(num_defects / 2);
-  // The closest-pair scan revisits every surviving pair once per matched
-  // pair; evaluating the caller's metric inside that scan costs O(n^3)
-  // DistanceFn calls. Evaluate each unordered pair exactly once up front and
-  // scan the buffer instead.
-  std::vector<size_t> dist_matrix(num_defects * num_defects, 0);
-  for (size_t i = 0; i < num_defects; ++i) {
-    for (size_t j = i + 1; j < num_defects; ++j) {
-      const size_t d = distance(i, j);
-      dist_matrix[i * num_defects + j] = d;
-      dist_matrix[j * num_defects + i] = d;
-    }
-  }
   // Repeatedly match the globally closest remaining pair, the first
   // lexicographic (i, j) winning ties.
   std::vector<bool> used(num_defects, false);
@@ -33,7 +24,7 @@ std::vector<Match> GreedyMatching::match(size_t num_defects,
       if (used[i]) continue;
       for (size_t j = i + 1; j < num_defects; ++j) {
         if (used[j]) continue;
-        const size_t d = dist_matrix[i * num_defects + j];
+        const size_t d = weights[i * num_defects + j];
         if (d < best) {
           best = d;
           best_i = i;
@@ -47,10 +38,16 @@ std::vector<Match> GreedyMatching::match(size_t num_defects,
   return out;
 }
 
-size_t matching_cost(const std::vector<Match>& matches,
-                     const DistanceFn& distance) {
+size_t matching_cost(const std::vector<Match>& matches, size_t num_defects,
+                     std::span<const size_t> weights) {
+  FTQC_CHECK(weights.size() == num_defects * num_defects,
+             "weight matrix must be num_defects x num_defects");
   size_t total = 0;
-  for (const Match& m : matches) total += distance(m.a, m.b);
+  for (const Match& m : matches) {
+    const size_t lo = std::min(m.a, m.b);
+    const size_t hi = std::max(m.a, m.b);
+    total += weights[lo * num_defects + hi];
+  }
   return total;
 }
 

@@ -1,7 +1,9 @@
 #include "decode/spacetime.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <utility>
+#include <vector>
 
 #include "common/check.h"
 #include "common/rng.h"
@@ -55,15 +57,38 @@ gf2::BitVec SpacetimeToricDecoder::decode_defects(
   FTQC_CHECK(defect_site.size() % 2 == 0,
              "space-time defects come in pairs when the last round is trusted");
 
-  const auto matches =
-      strategy_->match(defect_site.size(), [&](size_t a, size_t b) {
-        const size_t dt = defect_round[a] > defect_round[b]
-                              ? defect_round[a] - defect_round[b]
-                              : defect_round[b] - defect_round[a];
-        return options_.space_weight *
-                   code_.torus_site_distance(defect_site[a], defect_site[b]) +
+  // Pair weights: space_weight x L1 torus distance + time_weight x |Δround|.
+  // Each defect's (x, y) is split out once, so the O(n²) pair loop does no
+  // division or modulo; only the matcher's strict upper triangle is filled.
+  // The buffers are per thread: decode_defects runs concurrently on a shared
+  // decoder, and a steady-state decode then allocates nothing here.
+  thread_local std::vector<uint32_t> xs, ys;
+  thread_local std::vector<size_t> weights;
+  const size_t n = defect_site.size();
+  const uint32_t l = static_cast<uint32_t>(code_.lattice());
+  xs.resize(n);
+  ys.resize(n);
+  for (size_t k = 0; k < n; ++k) {
+    xs[k] = defect_site[k] % l;
+    ys[k] = defect_site[k] / l;
+  }
+  const auto torus_delta = [l](uint32_t a, uint32_t b) {
+    const uint32_t d = a > b ? a - b : b - a;
+    return std::min(d, l - d);
+  };
+  weights.resize(n * n);
+  for (size_t i = 0; i < n; ++i) {
+    size_t* row = weights.data() + i * n;
+    for (size_t j = i + 1; j < n; ++j) {
+      const uint32_t dt = defect_round[i] > defect_round[j]
+                              ? defect_round[i] - defect_round[j]
+                              : defect_round[j] - defect_round[i];
+      row[j] = options_.space_weight *
+                   (torus_delta(xs[i], xs[j]) + torus_delta(ys[i], ys[j])) +
                options_.time_weight * dt;
-      });
+    }
+  }
+  const auto matches = strategy_->match(n, weights);
   gf2::BitVec correction(code_.num_qubits());
   for (const Match& m : matches) {
     // Purely time-like pairs (same site) are measurement-error explanations;

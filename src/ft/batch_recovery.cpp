@@ -146,7 +146,9 @@ void batch_correct_data_block(sim::BatchFrameSim& sim,
 
 BatchGadgetRunner::BatchGadgetRunner(sim::BatchFrameSim& sim,
                                      const sim::NoiseParams& noise)
-    : sim_(sim), noise_(noise), touched_(sim.num_qubits(), false) {}
+    : sim_(sim), noise_(noise), touched_(sim.num_qubits(), false) {
+  noise_.validate();
+}
 
 std::vector<size_t> BatchGadgetRunner::run(
     const sim::Circuit& circuit, std::span<const uint32_t> active_qubits,

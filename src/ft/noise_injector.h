@@ -89,7 +89,9 @@ class NoiseInjector {
 // using the FrameSim's own RNG.
 class StochasticInjector final : public NoiseInjector {
  public:
-  explicit StochasticInjector(const sim::NoiseParams& params) : params_(params) {}
+  explicit StochasticInjector(const sim::NoiseParams& params) : params_(params) {
+    params_.validate();
+  }
 
   void on_gate1(sim::FrameSim& sim, uint32_t q) override {
     pauli1(sim, q, params_.eps_gate1);

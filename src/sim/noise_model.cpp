@@ -1,13 +1,43 @@
 #include "sim/noise_model.h"
 
 #include <algorithm>
+#include <cmath>
+#include <string>
 #include <vector>
 
 #include "common/check.h"
 
 namespace ftqc::sim {
 
+void NoiseParams::validate() const {
+  // Injectors and runners are built per shot or replay on some paths, so the
+  // message is only assembled once a check has failed.
+  const auto check_rate = [](double p, const char* field) {
+    FTQC_CHECK(std::isfinite(p) && p >= 0.0 && p <= 1.0,
+               std::string("NoiseParams::") + field +
+                   " must be a probability in [0, 1]");
+  };
+  check_rate(eps_store, "eps_store");
+  check_rate(eps_gate1, "eps_gate1");
+  check_rate(eps_gate2, "eps_gate2");
+  check_rate(eps_meas, "eps_meas");
+  check_rate(eps_prep, "eps_prep");
+  check_rate(p_leak, "p_leak");
+  check_rate(p_erase, "p_erase");
+  const auto check_bias = [](double b, const char* field) {
+    FTQC_CHECK(std::isfinite(b) && b >= 0.0,
+               std::string("NoiseParams::") + field +
+                   " must be a finite, non-negative weight");
+  };
+  check_bias(bias_x, "bias_x");
+  check_bias(bias_y, "bias_y");
+  check_bias(bias_z, "bias_z");
+  FTQC_CHECK(bias_x + bias_y + bias_z > 0.0,
+             "NoiseParams::bias_x/bias_y/bias_z must have a positive sum");
+}
+
 Circuit add_noise(const Circuit& ideal, const NoiseParams& params) {
+  params.validate();
   Circuit noisy(ideal.num_qubits());
   std::vector<bool> touched(ideal.num_qubits(), false);
 

@@ -95,6 +95,12 @@ struct NoiseParams {
     return bias_z / (bias_x + bias_y + bias_z);
   }
 
+  // Aborts through FTQC_CHECK, naming the offending field, unless every
+  // rate is finite and in [0, 1] and the bias weights are finite,
+  // non-negative and of positive sum. Unchecked, a NaN or negative rate reads
+  // as "no noise" in FrameSim's channels and silently yields clean frames.
+  void validate() const;
+
   [[nodiscard]] bool is_noiseless() const {
     return eps_store == 0 && eps_gate1 == 0 && eps_gate2 == 0 &&
            eps_meas == 0 && eps_prep == 0 && p_leak == 0 && p_erase == 0;

@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <limits>
 #include <memory>
+#include <span>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -133,12 +136,9 @@ TEST(BlossomMatching, CostMatchesSubsetDpOnRandomMetrics) {
         weights[j * n + i] = d;
       }
     }
-    const DistanceFn metric = [&](size_t a, size_t b) {
-      return weights[a * n + b];
-    };
-    const auto blossom_pairs = blossom()->match(n, metric);
+    const auto blossom_pairs = blossom()->match(n, weights);
     ASSERT_EQ(blossom_pairs.size(), n / 2);
-    EXPECT_EQ(matching_cost(blossom_pairs, metric),
+    EXPECT_EQ(matching_cost(blossom_pairs, n, weights),
               subset_dp_min_cost(weights, n))
         << "trial " << trial << " n=" << n;
   }
@@ -157,28 +157,135 @@ TEST(BlossomMatching, LargeInstancesNeverCostMoreThanGreedy) {
       weights[j * n + i] = d;
     }
   }
-  const DistanceFn metric = [&](size_t a, size_t b) {
-    return weights[a * n + b];
-  };
-  const auto blossom_pairs = blossom()->match(n, metric);
-  const auto greedy_pairs = greedy()->match(n, metric);
+  const auto blossom_pairs = blossom()->match(n, weights);
+  const auto greedy_pairs = greedy()->match(n, weights);
   ASSERT_EQ(blossom_pairs.size(), n / 2);
-  EXPECT_LE(matching_cost(blossom_pairs, metric),
-            matching_cost(greedy_pairs, metric));
+  EXPECT_LE(matching_cost(blossom_pairs, n, weights),
+            matching_cost(greedy_pairs, n, weights));
 }
 
-TEST(MatchingEdgeCases, EmptyDefectSetMatchesTriviallyWithNoMetricCalls) {
-  size_t calls = 0;
-  const DistanceFn metric = [&](size_t, size_t) -> size_t {
-    ++calls;
-    return 1;
+// FNV-1a over 64-bit words, byte by byte.
+class Fnv1a {
+ public:
+  void add(uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (word >> (8 * byte)) & 0xFF;
+      hash_ *= 0x100000001b3ull;
+    }
+  }
+  [[nodiscard]] uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+// Upper triangle of the space-time defect metric, straight from the torus
+// distance (the decoder's own fill is pinned separately below).
+std::vector<size_t> spacetime_weights(const ToricCode& code,
+                                      const std::vector<uint32_t>& site,
+                                      const std::vector<uint32_t>& round,
+                                      size_t space_weight, size_t time_weight) {
+  const size_t n = site.size();
+  std::vector<size_t> weights(n * n, 0);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = i + 1; j < n; ++j) {
+      const size_t dt = round[i] > round[j] ? round[i] - round[j]
+                                            : round[j] - round[i];
+      weights[i * n + j] =
+          space_weight * code.torus_site_distance(site[i], site[j]) +
+          time_weight * dt;
+    }
+  }
+  return weights;
+}
+
+// Costs are not the whole contract: equal-cost pairings can correct a shot
+// differently, and perfbench's exact default-seed counts depend on which
+// pairing blossom returns. This fingerprints the pairings themselves over
+// three instance families — tie-heavy random metrics (weights 0..3 and
+// 0..50, n = 2..80 run small -> large -> small so the per-thread solver
+// buffers shrink and regrow), L=16 p=0.08 plaquette snapshots (toric-2d's
+// regime), and L=6 T=6 space-time histories with unequal space and time
+// weights. A deliberate change of tie-breaking must re-record both this
+// constant and perfbench/reference.json.
+TEST(BlossomMatching, PairingsMatchRecordedFingerprint) {
+  Fnv1a hash;
+  const auto record = [&](size_t n, const std::vector<size_t>& weights) {
+    const auto pairs = blossom()->match(n, weights);
+    ASSERT_EQ(pairs.size(), n / 2);
+    hash.add(n);
+    for (const Match& m : pairs) hash.add(uint64_t{m.a} << 32 | m.b);
   };
+
+  Rng rng(211);
+  std::vector<size_t> sizes;
+  for (size_t n = 2; n <= 80; n += 2) sizes.push_back(n);
+  for (size_t n = 80; n >= 2; n -= 2) sizes.push_back(n);
+  for (const size_t max_weight : {size_t{3}, size_t{50}}) {
+    for (const size_t n : sizes) {
+      std::vector<size_t> weights(n * n, 0);
+      for (size_t i = 0; i < n; ++i) {
+        for (size_t j = i + 1; j < n; ++j) {
+          weights[i * n + j] = rng.next_below(max_weight + 1);
+        }
+      }
+      record(n, weights);
+    }
+  }
+
+  const ToricCode l16(16);
+  for (int shot = 0; shot < 100; ++shot) {
+    gf2::BitVec errors(l16.num_qubits());
+    for (size_t e = 0; e < l16.num_qubits(); ++e) {
+      if (rng.bernoulli(0.08)) errors.set(e, true);
+    }
+    const gf2::BitVec syndrome = l16.plaquette_syndrome(errors);
+    std::vector<uint32_t> site;
+    for (size_t s = syndrome.first_set(); s < syndrome.size();
+         s = syndrome.next_set(s + 1)) {
+      site.push_back(static_cast<uint32_t>(s));
+    }
+    const std::vector<uint32_t> round(site.size(), 0);
+    record(site.size(), spacetime_weights(l16, site, round, 1, 1));
+  }
+
+  const ToricCode l6(6);
+  const size_t rounds = 6;
+  for (int shot = 0; shot < 100; ++shot) {
+    gf2::BitVec errors(l6.num_qubits());
+    gf2::BitVec prev(l6.num_plaquettes());
+    std::vector<uint32_t> site, round;
+    // T noisy rounds (data then readout errors), then one trusted round.
+    for (size_t t = 0; t <= rounds; ++t) {
+      const bool noisy = t < rounds;
+      for (size_t e = 0; noisy && e < l6.num_qubits(); ++e) {
+        if (rng.bernoulli(0.03)) errors.flip(e);
+      }
+      gf2::BitVec measured = l6.plaquette_syndrome(errors);
+      for (size_t b = 0; noisy && b < measured.size(); ++b) {
+        if (rng.bernoulli(0.03)) measured.flip(b);
+      }
+      gf2::BitVec diff = measured;
+      diff ^= prev;
+      for (size_t s = diff.first_set(); s < diff.size();
+           s = diff.next_set(s + 1)) {
+        site.push_back(static_cast<uint32_t>(s));
+        round.push_back(static_cast<uint32_t>(t));
+      }
+      prev = measured;
+    }
+    record(site.size(), spacetime_weights(l6, site, round, 2, 3));
+  }
+
+  EXPECT_EQ(hash.value(), 0x5516fd4972b03dc6ull);
+}
+
+TEST(MatchingEdgeCases, EmptyDefectSetMatchesTrivially) {
   const std::vector<std::shared_ptr<const MatchingStrategy>> strategies = {
       greedy(), blossom()};
   for (const auto& strategy : strategies) {
-    EXPECT_TRUE(strategy->match(0, metric).empty()) << strategy->name();
+    EXPECT_TRUE(strategy->match(0, {}).empty()) << strategy->name();
   }
-  EXPECT_EQ(calls, 0u);
   // Decoder level: an all-clear history decodes to the identity correction.
   const ToricCode code(4);
   const SpacetimeToricDecoder decoder(code, ToricSide::kPlaquette, blossom());
@@ -186,26 +293,11 @@ TEST(MatchingEdgeCases, EmptyDefectSetMatchesTriviallyWithNoMetricCalls) {
   EXPECT_FALSE(decoder.decode(vacuum).any());
 }
 
-// The greedy bugfix contract: the caller's metric is evaluated exactly once
-// per unordered pair — n(n-1)/2 calls — never once per pair per scan round
-// (the old O(n^3) behavior this test is a regression fence for).
-TEST(MatchingEdgeCases, GreedyEvaluatesMetricOncePerUnorderedPair) {
-  const size_t n = 32;
-  size_t calls = 0;
-  const DistanceFn metric = [&](size_t a, size_t b) {
-    ++calls;
-    return (a * 7919 + b * 104729) % 97 + 1;
-  };
-  const auto pairs = greedy()->match(n, metric);
-  EXPECT_EQ(pairs.size(), n / 2);
-  EXPECT_EQ(calls, n * (n - 1) / 2);
-}
-
 TEST(MatchingDeathTest, OddDefectCountAborts) {
   GTEST_FLAG_SET(death_test_style, "threadsafe");
-  const DistanceFn metric = [](size_t, size_t) -> size_t { return 1; };
-  EXPECT_DEATH((void)greedy()->match(3, metric), "defects come in pairs");
-  EXPECT_DEATH((void)blossom()->match(3, metric), "defects come in pairs");
+  const std::vector<size_t> weights(9, 1);
+  EXPECT_DEATH((void)greedy()->match(3, weights), "defects come in pairs");
+  EXPECT_DEATH((void)blossom()->match(3, weights), "defects come in pairs");
 }
 
 TEST(MatchingDeathTest, SpacetimeDefectListMisuseAborts) {
@@ -223,9 +315,6 @@ TEST(MatchingDeathTest, SpacetimeDefectListMisuseAborts) {
 TEST(MatchingProperty, MwpmCostNeverExceedsGreedyOnRandomSyndromes) {
   const ToricCode code(6);
   Rng rng(71);
-  const DistanceFn metric = [&](size_t a, size_t b) {
-    return code.torus_site_distance(a, b);
-  };
   for (int trial = 0; trial < 100; ++trial) {
     gf2::BitVec errors(code.num_qubits());
     for (size_t e = 0; e < code.num_qubits(); ++e) {
@@ -237,13 +326,13 @@ TEST(MatchingProperty, MwpmCostNeverExceedsGreedyOnRandomSyndromes) {
          s = syndrome.next_set(s + 1)) {
       defects.push_back(static_cast<uint32_t>(s));
     }
-    const DistanceFn defect_metric = [&](size_t a, size_t b) {
-      return metric(defects[a], defects[b]);
-    };
-    const auto exact = blossom()->match(defects.size(), defect_metric);
-    const auto greedy_pairs = greedy()->match(defects.size(), defect_metric);
-    EXPECT_LE(matching_cost(exact, defect_metric),
-              matching_cost(greedy_pairs, defect_metric));
+    const size_t n = defects.size();
+    const std::vector<size_t> weights = spacetime_weights(
+        code, defects, std::vector<uint32_t>(n, 0), 1, 1);
+    const auto exact = blossom()->match(n, weights);
+    const auto greedy_pairs = greedy()->match(n, weights);
+    EXPECT_LE(matching_cost(exact, n, weights),
+              matching_cost(greedy_pairs, n, weights));
   }
 }
 
@@ -319,6 +408,57 @@ TEST(SpacetimeDecoder, FailureFallsWithLatticeSizeBelowThreshold) {
   EXPECT_LT(failure_rate(6, 500), failure_rate(3, 500) + 1e-9);
 }
 
+// Test-only strategy: records the weight matrix it is handed and pairs the
+// defects in index order.
+class RecordingMatching final : public MatchingStrategy {
+ public:
+  [[nodiscard]] const char* name() const override { return "recording"; }
+  [[nodiscard]] std::vector<Match> match(
+      size_t num_defects, std::span<const size_t> weights) const override {
+    num_defects_ = num_defects;
+    weights_.assign(weights.begin(), weights.end());
+    std::vector<Match> out;
+    for (uint32_t i = 0; i + 1 < num_defects; i += 2) out.push_back({i, i + 1});
+    return out;
+  }
+  mutable size_t num_defects_ = 0;
+  mutable std::vector<size_t> weights_;
+};
+
+// The decoder's matrix fill, entry by entry, against the reference metric:
+// space_weight x torus_site_distance + time_weight x |Δround|. Odd lattices
+// exercise the min(d, L - d) wrap on both axes.
+TEST(SpacetimeDecoder, MatcherSeesSpaceAndTimeWeightedTorusDistances) {
+  for (const size_t lattice : {2, 3, 5, 16}) {
+    const ToricCode code(lattice);
+    const auto recorder = std::make_shared<RecordingMatching>();
+    const SpacetimeToricDecoder decoder(code, ToricSide::kPlaquette, recorder,
+                                        {.space_weight = 3, .time_weight = 5});
+    // Every site twice, at rounds spread over 0..6.
+    const size_t sites = code.num_plaquettes();
+    const size_t n = 2 * sites;
+    std::vector<uint32_t> site(n), round(n);
+    for (size_t k = 0; k < n; ++k) {
+      site[k] = static_cast<uint32_t>(k % sites);
+      round[k] = static_cast<uint32_t>((k * 5) % 7);
+    }
+    (void)decoder.decode_defects(site, round);
+    ASSERT_EQ(recorder->num_defects_, n) << "L=" << lattice;
+    ASSERT_EQ(recorder->weights_.size(), n * n) << "L=" << lattice;
+    size_t wrong = 0;
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = i + 1; j < n; ++j) {
+        const size_t dt = round[i] > round[j] ? round[i] - round[j]
+                                              : round[j] - round[i];
+        const size_t want =
+            3 * code.torus_site_distance(site[i], site[j]) + 5 * dt;
+        wrong += recorder->weights_[i * n + j] == want ? 0 : 1;
+      }
+    }
+    EXPECT_EQ(wrong, 0u) << "L=" << lattice;
+  }
+}
+
 TEST(SpacetimeDecoder, PurelyTimelikeDefectsNeedNoCorrection) {
   // Misread chains at three well-separated sites: every defect pair sits at
   // the same site in adjacent rounds, so the optimal matching is purely
@@ -335,42 +475,57 @@ TEST(SpacetimeDecoder, PurelyTimelikeDefectsNeedNoCorrection) {
   }
 }
 
-// The batched front-end contract: lane l of decode_lanes is bit-for-bit the
-// correction a serial decode of lane l's unpacked syndrome history returns.
-TEST(BatchDecode, LanesAreBitIdenticalToSerialDecode) {
-  const ToricCode code(6);
-  const SpacetimeToricDecoder decoder(code, ToricSide::kPlaquette, blossom());
-  const size_t sites = code.num_plaquettes();
-  const size_t rounds = 5;  // noisy rounds; +1 trusted closing row
-  Rng rng(91);
+// 64 lanes of phenomenological plaquette histories — `rounds` noisy rounds
+// with data and readout errors at p each, then one trusted row — packed for
+// decode_lanes, with every lane's unpacked history kept for serial decode.
+struct LaneHistories {
   PackedSyndromes packed;
-  packed.resize(sites, rounds + 1);
-  std::vector<std::vector<gf2::BitVec>> serial(64);
+  std::vector<std::vector<gf2::BitVec>> serial;
+};
+
+LaneHistories random_lane_histories(const ToricCode& code, size_t rounds,
+                                    double p, Rng& rng) {
+  const size_t sites = code.num_plaquettes();
+  LaneHistories out;
+  out.packed.resize(sites, rounds + 1);
+  out.serial.resize(64);
   for (size_t lane = 0; lane < 64; ++lane) {
     gf2::BitVec errors(code.num_qubits());
     std::vector<gf2::BitVec> history;
     for (size_t t = 0; t < rounds; ++t) {
       for (size_t e = 0; e < code.num_qubits(); ++e) {
-        if (rng.bernoulli(0.03)) errors.flip(e);
+        if (rng.bernoulli(p)) errors.flip(e);
       }
       gf2::BitVec s = code.plaquette_syndrome(errors);
       for (size_t b = 0; b < sites; ++b) {
-        if (rng.bernoulli(0.03)) s.flip(b);  // measurement error
+        if (rng.bernoulli(p)) s.flip(b);  // measurement error
       }
       history.push_back(s);
     }
     history.push_back(code.plaquette_syndrome(errors));  // trusted row
     for (size_t t = 0; t <= rounds; ++t) {
       for (size_t b = 0; b < sites; ++b) {
-        packed.set(t, b, lane, history[t].get(b));
+        out.packed.set(t, b, lane, history[t].get(b));
       }
     }
-    serial[lane] = std::move(history);
+    out.serial[lane] = std::move(history);
   }
+  return out;
+}
+
+// The batched front-end contract: lane l of decode_lanes is bit-for-bit the
+// correction a serial decode of lane l's unpacked syndrome history returns.
+TEST(BatchDecode, LanesAreBitIdenticalToSerialDecode) {
+  const ToricCode code(6);
+  const SpacetimeToricDecoder decoder(code, ToricSide::kPlaquette, blossom());
+  Rng rng(91);
+  const LaneHistories histories = random_lane_histories(code, 5, 0.03, rng);
+  const PackedSyndromes& packed = histories.packed;
   const auto batch = decode_lanes(decoder, packed);
   ASSERT_EQ(batch.size(), 64u);
   for (size_t lane = 0; lane < 64; ++lane) {
-    EXPECT_EQ(batch[lane], decoder.decode(serial[lane])) << "lane " << lane;
+    EXPECT_EQ(batch[lane], decoder.decode(histories.serial[lane]))
+        << "lane " << lane;
   }
   // Masked lanes are skipped entirely and come back empty.
   const auto masked = decode_lanes(decoder, packed, 0xFFu);
@@ -380,6 +535,53 @@ TEST(BatchDecode, LanesAreBitIdenticalToSerialDecode) {
     } else {
       EXPECT_EQ(masked[lane].size(), 0u) << "lane " << lane;
     }
+  }
+}
+
+// decode_defects and the blossom solver keep per-thread buffers. Four
+// threads share every decoder at once, each walking the lattice sizes in its
+// own order, so each thread's buffers grow and shrink at different times
+// while the others decode; every lane must still equal the serial decode.
+TEST(DecodeThreads, SharedDecodersMatchSerialDecodeLaneByLane) {
+  const std::vector<size_t> lattices = {4, 6, 8, 12};
+  std::deque<ToricCode> codes;
+  std::deque<SpacetimeToricDecoder> decoders;
+  std::vector<LaneHistories> histories;
+  std::vector<std::vector<gf2::BitVec>> expected;
+  Rng rng(97);
+  for (const size_t lattice : lattices) {
+    codes.emplace_back(lattice);
+    decoders.emplace_back(codes.back(), ToricSide::kPlaquette, blossom());
+    histories.push_back(random_lane_histories(codes.back(), 3, 0.04, rng));
+    std::vector<gf2::BitVec> serial;
+    for (const auto& lane_history : histories.back().serial) {
+      serial.push_back(decoders.back().decode(lane_history));
+    }
+    expected.push_back(std::move(serial));
+  }
+
+  constexpr size_t kThreads = 4;
+  constexpr size_t kSweeps = 3;
+  std::vector<size_t> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t step = 0; step < kSweeps * lattices.size(); ++step) {
+        // Even threads walk the sizes upward, odd ones downward, each from
+        // its own starting size.
+        const size_t k = t % 2 == 0 ? (t + step) % lattices.size()
+                                    : (t + lattices.size() * kSweeps - step) %
+                                          lattices.size();
+        const auto lanes = decode_lanes(decoders[k], histories[k].packed);
+        for (size_t lane = 0; lane < 64; ++lane) {
+          mismatches[t] += lanes[lane] == expected[k][lane] ? 0 : 1;
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
   }
 }
 

@@ -6,11 +6,16 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <utility>
 #include <vector>
 
+#include "ft/batch_recovery.h"
+#include "ft/noise_injector.h"
 #include "sim/batch_frame_sim.h"
 #include "sim/circuit.h"
 #include "sim/frame_sim.h"
+#include "sim/noise_model.h"
 #include "sim/runner.h"
 #include "sim/tableau_sim.h"
 
@@ -452,6 +457,48 @@ TEST(BoundaryChannels, BatchNanProbabilityDies) {
   BatchFrameSim batch(2, 128, /*seed=*/9);
   batch.depolarize1(1, 0.01);
   EXPECT_DEATH(batch.x_error(0, std::nan("")), "probability is NaN");
+}
+
+// A malformed rate used to read as "no noise" in the serial engine: p <= 0
+// returned early and bernoulli(NaN) never fired, so a NaN or negative rate
+// silently produced clean frames. Every way noise enters a run now rejects
+// it up front, naming the field.
+TEST(BoundaryChannels, MalformedNoiseParamsDieAtEveryEntryPoint) {
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto with = [](auto edit) {
+    NoiseParams p = NoiseParams::uniform_gate(1e-3);
+    edit(p);
+    return p;
+  };
+  const std::vector<std::pair<NoiseParams, const char*>> cases = {
+      {NoiseParams::uniform_gate(nan), "eps_gate1"},
+      {NoiseParams::uniform_gate(-0.5), "eps_gate1"},
+      {with([&](NoiseParams& p) { p.eps_store = nan; }), "eps_store"},
+      {with([](NoiseParams& p) { p.eps_meas = 1.5; }), "eps_meas"},
+      {with([&](NoiseParams& p) { p.p_erase = inf; }), "p_erase"},
+      {with([](NoiseParams& p) { p.p_leak = -1e-9; }), "p_leak"},
+      {with([&](NoiseParams& p) { p.bias_x = nan; }), "bias_x"},
+      {with([](NoiseParams& p) { p.bias_z = -1.0; }), "bias_z"},
+      {with([](NoiseParams& p) { p.bias_x = p.bias_y = p.bias_z = 0.0; }),
+       "positive sum"},
+  };
+  Circuit ideal(2);
+  ideal.h(0);
+  ideal.cx(0, 1);
+  for (const auto& [params, field] : cases) {
+    EXPECT_DEATH(params.validate(), field);
+    EXPECT_DEATH((void)add_noise(ideal, params), field);
+    EXPECT_DEATH(ft::StochasticInjector injector(params), field);
+    BatchFrameSim batch(2, 64, /*seed=*/3);
+    EXPECT_DEATH(ft::BatchGadgetRunner runner(batch, params), field);
+  }
+  // The closed ends of every range stay legal.
+  NoiseParams edge = NoiseParams::uniform_gate(1.0, 0.0);
+  edge.p_erase = 1.0;
+  edge.bias_x = edge.bias_y = 0.0;
+  edge.validate();
+  (void)add_noise(ideal, edge);
 }
 
 TEST(BoundaryChannels, BatchCertainHitFillsEveryLane) {
