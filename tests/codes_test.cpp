@@ -8,6 +8,7 @@
 #include "codes/css.h"
 #include "codes/library.h"
 #include "codes/lookup_decoder.h"
+#include "fnv1a.h"
 #include "gf2/hamming.h"
 
 namespace ftqc::codes {
@@ -168,6 +169,33 @@ TEST(LookupDecoder, MinWeightRepresentatives) {
     for (size_t b = 0; b < 6; ++b) syn.set(b, (s >> b) & 1);
     EXPECT_LE(decoder.decode(syn).weight(), 2u);
   }
+}
+
+// Every table entry of the five library codes, hashed in syndrome order
+// (X bits, Z bits and phase of each stored correction). Ties between
+// equal-weight corrections are broken by the breadth-first visit order, and
+// that choice reaches the recovery drivers' corrections and logical
+// verdicts, so a construction change must keep the order, not just weights.
+TEST(LookupDecoder, TablesMatchRecordedFingerprint) {
+  Fnv1a hash;
+  for (const auto* code : {&five_qubit(), &steane(), &shor9(), &hamming15(),
+                           &reed_muller15()}) {
+    const LookupDecoder decoder(*code);
+    const size_t m = code->num_generators();
+    ASSERT_EQ(decoder.table_size(), size_t{1} << m) << code->name();
+    for (uint64_t s = 0; s < (uint64_t{1} << m); ++s) {
+      gf2::BitVec syndrome(m);
+      syndrome.set_word(0, s);
+      const PauliString& correction = decoder.decode(syndrome);
+      ASSERT_EQ(code->syndrome(correction), syndrome) << code->name();
+      for (size_t w = 0; w < correction.x_part().num_words(); ++w) {
+        hash.add(correction.x_part().word(w));
+        hash.add(correction.z_part().word(w));
+      }
+      hash.add(correction.phase_exponent());
+    }
+  }
+  EXPECT_EQ(hash.value(), 0xf98cc4504d421477ull);
 }
 
 TEST(ConcatenatedSteane, BlockSizes) {

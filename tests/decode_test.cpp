@@ -19,6 +19,7 @@
 #include "decode/dem.h"
 #include "decode/matching.h"
 #include "decode/spacetime.h"
+#include "fnv1a.h"
 #include "topo/toric_code.h"
 
 namespace ftqc::decode {
@@ -163,21 +164,6 @@ TEST(BlossomMatching, LargeInstancesNeverCostMoreThanGreedy) {
   EXPECT_LE(matching_cost(blossom_pairs, n, weights),
             matching_cost(greedy_pairs, n, weights));
 }
-
-// FNV-1a over 64-bit words, byte by byte.
-class Fnv1a {
- public:
-  void add(uint64_t word) {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash_ ^= (word >> (8 * byte)) & 0xFF;
-      hash_ *= 0x100000001b3ull;
-    }
-  }
-  [[nodiscard]] uint64_t value() const { return hash_; }
-
- private:
-  uint64_t hash_ = 0xcbf29ce484222325ull;
-};
 
 // Upper triangle of the space-time defect metric, straight from the torus
 // distance (the decoder's own fill is pinned separately below).

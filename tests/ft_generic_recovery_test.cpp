@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include "codes/library.h"
+#include "fnv1a.h"
+#include "ft/batch_shor.h"
 #include "ft/fault_enumeration.h"
 #include "ft/generic_recovery.h"
+#include "ft/shor_recovery.h"
 #include "sim/runner.h"
 #include "sim/statevector_sim.h"
 
@@ -92,19 +95,101 @@ TEST(GenericShorRecovery, FiveQubitSurvivesEverySingleFault) {
       << "single fault broke the generic Shor recovery";
 }
 
-TEST(GenericShorRecovery, SteaneCodeAgreesWithSpecializedDriver) {
-  // The generic driver on the Steane code has the same qualitative failure
-  // law as the specialized one: clean on no noise, quadratic under noise.
-  const auto noise = sim::NoiseParams::uniform_gate(2e-3);
-  size_t failures = 0;
-  const size_t shots = 4000;
-  for (size_t s = 0; s < shots; ++s) {
-    GenericShorRecovery rec(codes::steane(), noise, RecoveryPolicy{}, 100 + s);
+// --- Recorded fingerprints ---------------------------------------------------
+//
+// Per-shot logical verdicts, discarded-cat counts and data frames, hashed
+// at two noise points: uniform depolarizing gates, and Z-biased gates with
+// storage noise and heralded erasure (which exercises the herald discard
+// in the cat-retry loop). The Steane constants were recorded with the
+// Steane-only cat-state drivers, so they pin the code-generic drivers to
+// the same decisions draw for draw.
+
+sim::NoiseParams fingerprint_noise(bool biased) {
+  if (!biased) return sim::NoiseParams::uniform_gate(8e-3);
+  auto noise = sim::NoiseParams::biased_gate(8e-3, /*eta=*/4.0,
+                                             /*eps_store=*/2e-3);
+  noise.p_erase = 4e-3;
+  return noise;
+}
+
+template <typename MakeDriver>
+uint64_t serial_fingerprint(size_t n, MakeDriver make) {
+  Fnv1a hash;
+  for (uint64_t s = 0; s < 2000; ++s) {
+    auto rec = make(/*seed=*/17 + 31 * s);
     rec.run_cycle();
-    failures += rec.any_logical_error();
+    hash.add(rec.any_logical_error());
+    hash.add(rec.cats_discarded());
+    for (size_t q = 0; q < n; ++q) {
+      hash.add(uint64_t{rec.frame().x_frame().get(q)} |
+               uint64_t{rec.frame().z_frame().get(q)} << 1);
+    }
   }
-  const double rate = static_cast<double>(failures) / shots;
-  EXPECT_LT(rate, 0.05);  // far below the O(eps) a non-FT circuit would show
+  return hash.value();
+}
+
+template <typename Driver>
+uint64_t batch_fingerprint(Driver& rec, size_t n) {
+  rec.run_cycle();
+  Fnv1a hash;
+  for (size_t shot = 0; shot < rec.num_shots(); ++shot) {
+    hash.add(rec.any_logical_error(shot));
+  }
+  hash.add(rec.count_any_logical_error());
+  hash.add(rec.cats_discarded());
+  const sim::BatchFrameSim& frames = rec.frames();
+  for (size_t w = 0; w < rec.num_words(); ++w) {
+    for (size_t q = 0; q < n; ++q) {
+      hash.add(frames.x_flips(q)[w]);
+      hash.add(frames.z_flips(q)[w]);
+    }
+    hash.add(frames.abort_mask()[w]);
+  }
+  return hash.value();
+}
+
+TEST(ShorFingerprint, SteaneSerialShots) {
+  const uint64_t expected[2] = {0x2659e6caa3391040ull,
+                                 0x3f99f15db57e3accull};
+  for (const bool biased : {false, true}) {
+    const auto noise = fingerprint_noise(biased);
+    EXPECT_EQ(serial_fingerprint(7,
+                                 [&](uint64_t seed) {
+                                   return ShorRecovery(noise, RecoveryPolicy{},
+                                                       seed);
+                                 }),
+              expected[biased])
+        << (biased ? "biased" : "uniform");
+  }
+}
+
+TEST(ShorFingerprint, SteaneBatchBlock) {
+  const uint64_t expected[2] = {0x6f647839e02efc39ull,
+                                 0xe9136b72672c61e3ull};
+  for (const bool biased : {false, true}) {
+    BatchShorRecovery rec(fingerprint_noise(biased), RecoveryPolicy{},
+                          /*shots=*/4096, /*seed=*/23);
+    EXPECT_EQ(batch_fingerprint(rec, 7), expected[biased])
+        << (biased ? "biased" : "uniform");
+  }
+}
+
+// The five-qubit code has no pure-Z generator and is not CSS, so its serial
+// path is the one the generic driver always took.
+TEST(ShorFingerprint, FiveQubitSerialShots) {
+  const uint64_t expected[2] = {0x53e90100bce261e1ull,
+                                 0x18c53e268df66487ull};
+  for (const bool biased : {false, true}) {
+    const auto noise = fingerprint_noise(biased);
+    EXPECT_EQ(serial_fingerprint(5,
+                                 [&](uint64_t seed) {
+                                   return GenericShorRecovery(
+                                       codes::five_qubit(), noise,
+                                       RecoveryPolicy{}, seed);
+                                 }),
+              expected[biased])
+        << (biased ? "biased" : "uniform");
+  }
 }
 
 TEST(GenericShorRecovery, MixedGeneratorWidthUsesMatchingCatWidth) {
