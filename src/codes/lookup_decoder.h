@@ -1,6 +1,7 @@
 #pragma once
 
-#include <unordered_map>
+#include <cstdint>
+#include <vector>
 
 #include "codes/stabilizer_code.h"
 
@@ -17,9 +18,13 @@ class LookupDecoder {
 
   [[nodiscard]] const StabilizerCode& code() const { return code_; }
 
-  // Correction for a measured syndrome. Unfilled syndromes (possible only if
-  // the table could not be completed) decode to identity.
-  [[nodiscard]] const pauli::PauliString& decode(const gf2::BitVec& syndrome) const;
+  // Correction for a measured syndrome, given as bits or packed (bit j for
+  // generator j). Unfilled syndromes (possible only if the table could not
+  // be completed) decode to identity.
+  [[nodiscard]] pauli::PauliString decode(uint64_t syndrome) const;
+  [[nodiscard]] pauli::PauliString decode(const gf2::BitVec& syndrome) const {
+    return decode(syndrome.to_u64());
+  }
 
   // Applies decode() to the error's own syndrome and reports whether the
   // corrected residual (error * correction) acts as a logical operator.
@@ -31,12 +36,16 @@ class LookupDecoder {
     return !residual_effect(error).any();
   }
 
-  [[nodiscard]] size_t table_size() const { return table_.size(); }
+  // Number of syndromes with a stored correction.
+  [[nodiscard]] size_t table_size() const { return table_size_; }
 
  private:
   const StabilizerCode& code_;
-  pauli::PauliString identity_;
-  std::unordered_map<uint64_t, pauli::PauliString> table_;
+  size_t words_;  // words per packed X (or Z) half of a Pauli
+  // Entry s holds the correction for syndrome s as words_ X words then
+  // words_ Z words; an unreached entry stays all-zero (the identity).
+  std::vector<uint64_t> table_;
+  size_t table_size_ = 0;
 };
 
 }  // namespace ftqc::codes

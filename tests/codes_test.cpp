@@ -186,7 +186,7 @@ TEST(LookupDecoder, TablesMatchRecordedFingerprint) {
     for (uint64_t s = 0; s < (uint64_t{1} << m); ++s) {
       gf2::BitVec syndrome(m);
       syndrome.set_word(0, s);
-      const PauliString& correction = decoder.decode(syndrome);
+      const PauliString correction = decoder.decode(syndrome);
       ASSERT_EQ(code->syndrome(correction), syndrome) << code->name();
       for (size_t w = 0; w < correction.x_part().num_words(); ++w) {
         hash.add(correction.x_part().word(w));
