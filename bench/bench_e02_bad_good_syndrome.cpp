@@ -6,8 +6,8 @@
 // The Monte Carlo section rides ShotRunner's engine parameter. The "Good!"
 // path's cat-retry loop is data-dependent per shot; under --engine=batch
 // (the default) it runs as masked re-replay through BatchCatRetry, the same
-// machinery as BatchShorRecovery. The failure metric bit-slices too: for
-// the self-dual Steane code, Z-coset weight >= 2 is exactly the Hamming
+// machinery as BatchGenericShorRecovery. The failure metric bit-slices too:
+// for the self-dual Steane code, Z-coset weight >= 2 is exactly the Hamming
 // decode_logical of the Z-frame word (coset weight 0 -> trivial, 1 -> a
 // correctable single error; both decode to logical 0).
 #include <array>

@@ -1,35 +1,12 @@
 #include "ft/batch_shor.h"
 
 #include <algorithm>
-#include <array>
-#include <map>
 
 #include "common/check.h"
 #include "common/errors.h"
-#include "ft/generic_recovery.h"
-#include "ft/steane_circuits.h"
 #include "sim/simd.h"
 
 namespace ftqc::ft {
-
-namespace {
-
-constexpr std::array<uint32_t, 7> kData = {0, 1, 2, 3, 4, 5, 6};
-constexpr std::array<uint32_t, 4> kCat = {7, 8, 9, 10};
-constexpr uint32_t kCheck = 11;
-constexpr std::array<uint32_t, 12> kAll = {0, 1, 2, 3, 4, 5,
-                                           6, 7, 8, 9, 10, 11};
-
-// Number of frame qubits a generic Shor driver needs for `code`.
-size_t generic_register_size(const codes::StabilizerCode& code) {
-  size_t max_weight = 0;
-  for (const auto& g : code.generators()) {
-    max_weight = std::max(max_weight, g.weight());
-  }
-  return code.n() + max_weight + 1;  // data + cat + check
-}
-
-}  // namespace
 
 BatchCatRetry::BatchCatRetry(sim::BatchFrameSim& sim) : sim_(sim) {}
 
@@ -121,171 +98,55 @@ uint64_t BatchCatRetry::prepare(BatchGadgetRunner& gadgets,
   return discarded;
 }
 
-// --- BatchShorRecovery ------------------------------------------------------
-
-BatchShorRecovery::BatchShorRecovery(const sim::NoiseParams& noise,
-                                     RecoveryPolicy policy, size_t shots,
-                                     uint64_t seed)
-    : sim_(kNumQubits, shots, seed),
-      gadgets_(sim_, noise),
-      retry_(sim_),
-      noise_(noise),
-      policy_(policy),
-      words_(sim_.num_words()) {
-  if (noise.p_leak > 0) {
-    throw UnsupportedChannel("BatchShorRecovery", "p_leak > 0",
-                             "ShorRecovery");
-  }
-}
-
-void BatchShorRecovery::reset() {
-  sim_.clear();
-  cats_discarded_ = 0;
-}
-
-void BatchShorRecovery::inject_data(uint32_t q, char pauli) {
-  FTQC_CHECK(q < 7, "data qubit index out of range");
-  switch (pauli) {
-    case 'X': sim_.inject_x(q); break;
-    case 'Y': sim_.inject_y(q); break;
-    case 'Z': sim_.inject_z(q); break;
-    default: FTQC_CHECK(false, "inject_data expects X, Y or Z");
-  }
-}
-
-void BatchShorRecovery::apply_memory_noise(double p) {
-  for (uint32_t q : kData) sim_.depolarize1(q, p);
-}
-
-void BatchShorRecovery::measure_syndrome_bit(size_t row, bool x_type,
-                                             const uint64_t* active,
-                                             uint64_t* out) {
-  // Compiled once; same builders as the serial driver.
-  static const std::array<sim::Circuit, 2> kCatPrep = {
-      cat_prep_with_check(kCat, kCheck, /*final_hadamards=*/false),
-      cat_prep_with_check(kCat, kCheck, /*final_hadamards=*/true)};
-  static const std::array<std::array<sim::Circuit, 3>, 2> kSyndromeBit = [] {
-    const gf2::Hamming743 hamming;
-    std::array<std::array<sim::Circuit, 3>, 2> gadgets;
-    for (const bool x_t : {false, true}) {
-      for (size_t r = 0; r < 3; ++r) {
-        gadgets[x_t][r] = shor_syndrome_bit(
-            kData, kCat, hamming.check_matrix().row(r), x_t);
-      }
-    }
-    return gadgets;
-  }();
-
-  cats_discarded_ += retry_.prepare(gadgets_, kCatPrep[!x_type], kCat, kAll,
-                                    policy_, active);
-  const auto rows = gadgets_.run(kSyndromeBit[x_type][row], kAll, active);
-  FTQC_CHECK(rows.size() == 4, "Shor syndrome bit reads the 4 cat qubits");
-  std::fill_n(out, words_, 0);
-  for (const size_t r : rows) {
-    sim::simd::xor_into(out, sim_.record().row(r), words_);
-  }
-}
-
-void BatchShorRecovery::extract_syndrome(bool phase_type,
-                                         const uint64_t* active,
-                                         uint64_t* syndrome_rows) {
-  // Bit-flip errors are diagnosed by the Z-type generators (measured with
-  // Shor-state ancillas); phase errors by the X-type generators.
-  for (size_t row = 0; row < 3; ++row) {
-    measure_syndrome_bit(row, /*x_type=*/phase_type, active,
-                         syndrome_rows + row * words_);
-  }
-}
-
-void BatchShorRecovery::run_cycle() {
-  for (const bool phase_type : {false, true}) {
-    run_batch_repeat_policy(
-        3, words_, policy_.repeat_nontrivial_syndrome, /*active=*/nullptr,
-        [&](const uint64_t* mask, uint64_t* out) {
-          extract_syndrome(phase_type, mask, out);
-        },
-        [&](const uint64_t* syn, const uint64_t* act) {
-          batch_correct_data_block(sim_, noise_, phase_type, kData, syn, act);
-        });
-  }
-}
-
-uint64_t BatchShorRecovery::count_any_logical_error(size_t num_lanes) const {
-  const uint64_t* x_rows[7];
-  const uint64_t* z_rows[7];
-  for (size_t i = 0; i < 7; ++i) {
-    x_rows[i] = sim_.x_flips(kData[i]);
-    z_rows[i] = sim_.z_flips(kData[i]);
-  }
-  std::vector<uint64_t> lx(words_), lz(words_);
-  batch_decode_rows(hamming_, x_rows, /*logical=*/true, lx.data(), words_);
-  batch_decode_rows(hamming_, z_rows, /*logical=*/true, lz.data(), words_);
-  sim::simd::or_into(lx.data(), lz.data(), words_);
-  return batch_count_lanes(lx.data(), words_,
-                           std::min(num_lanes, sim_.num_shots()));
-}
-
-uint64_t BatchShorRecovery::count_retry_exhausted() const {
-  return batch_count_lanes(sim_.abort_mask(), words_, sim_.num_shots());
-}
-
-bool BatchShorRecovery::logical_x_error(size_t shot) const {
-  gf2::BitVec word(7);
-  for (size_t q = 0; q < 7; ++q) word.set(q, sim_.x_flip(kData[q], shot));
-  return hamming_.decode_logical(word);
-}
-
-bool BatchShorRecovery::logical_z_error(size_t shot) const {
-  gf2::BitVec word(7);
-  for (size_t q = 0; q < 7; ++q) word.set(q, sim_.z_flip(kData[q], shot));
-  return hamming_.decode_logical(word);
-}
-
 // --- BatchGenericShorRecovery -----------------------------------------------
+
+namespace {
+
+// Calls visit(value, lanes) once per distinct syndrome value read by the
+// lanes of `mask`: row i of `rows` holds the bit of the i-th generator of
+// `group`, and `value` packs it at that generator's index. Each value's
+// lanes are peeled off with word ops, so the cost grows with the number of
+// distinct values, not with the number of lanes.
+template <typename Visit>
+void for_each_syndrome_value(uint64_t group, const uint64_t* rows,
+                             const uint64_t* mask, size_t words,
+                             Visit&& visit) {
+  std::vector<uint64_t> rest(mask, mask + words), lanes(words);
+  for (size_t w = 0; w < words; ++w) {
+    while (rest[w] != 0) {
+      // The value the first remaining lane reads, and every lane reading it.
+      const int lane = __builtin_ctzll(rest[w]);
+      std::copy(rest.begin(), rest.end(), lanes.begin());
+      uint64_t value = 0;
+      const uint64_t* bits = rows;
+      for (uint64_t left = group; left != 0; left &= left - 1, bits += words) {
+        if ((bits[w] >> lane) & 1u) {
+          value |= uint64_t{1} << __builtin_ctzll(left);
+          sim::simd::and_into(lanes.data(), bits, words);
+        } else {
+          sim::simd::andnot(lanes.data(), lanes.data(), bits, words);
+        }
+      }
+      visit(value, lanes.data());
+      sim::simd::andnot(rest.data(), rest.data(), lanes.data(), words);
+    }
+  }
+}
+
+}  // namespace
 
 BatchGenericShorRecovery::BatchGenericShorRecovery(
     const codes::StabilizerCode& code, const sim::NoiseParams& noise,
     RecoveryPolicy policy, size_t shots, uint64_t seed)
-    : code_(code),
-      decoder_(code),
-      sim_(generic_register_size(code), shots, seed),
+    : extraction_(code),
+      sim_(extraction_.check + 1, shots, seed),
       gadgets_(sim_, noise),
       retry_(sim_),
-      noise_(noise),
       policy_(policy),
       words_(sim_.num_words()) {
   if (noise.p_leak > 0) {
     throw UnsupportedChannel("BatchGenericShorRecovery", "p_leak > 0",
                              "GenericShorRecovery");
-  }
-  max_weight_ = 0;
-  for (const auto& g : code.generators()) {
-    max_weight_ = std::max(max_weight_, g.weight());
-  }
-  const auto n = static_cast<uint32_t>(code.n());
-  for (uint32_t i = 0; i < max_weight_; ++i) cat_.push_back(n + i);
-  check_ = n + static_cast<uint32_t>(max_weight_);
-  for (uint32_t q = 0; q < check_ + 1; ++q) all_qubits_.push_back(q);
-
-  // Per-generator circuits, compiled once per driver: the cat prep sized to
-  // the generator weight and the controlled-Pauli comb of the serial
-  // measure_generator.
-  for (const auto& generator : code.generators()) {
-    const size_t width = generator.weight();
-    const std::span<const uint32_t> cat(cat_.data(), width);
-    cat_preps_.push_back(cat_prep_with_check(cat, check_, false));
-    sim::Circuit gadget;
-    size_t a = 0;
-    for (size_t q = 0; q < code.n(); ++q) {
-      const char p = generator.pauli_at(q);
-      if (p == 'I') continue;
-      append_controlled_pauli(gadget, cat_[a], static_cast<uint32_t>(q), p);
-      gadget.tick();
-      ++a;
-    }
-    for (size_t i = 0; i < width; ++i) gadget.mx(cat_[i]);
-    gadget.tick();
-    gen_gadgets_.push_back(std::move(gadget));
   }
 }
 
@@ -295,7 +156,7 @@ void BatchGenericShorRecovery::reset() {
 }
 
 void BatchGenericShorRecovery::inject_data(uint32_t q, char pauli) {
-  FTQC_CHECK(q < code_.n(), "data qubit index out of range");
+  FTQC_CHECK(q < extraction_.data.size(), "data qubit index out of range");
   switch (pauli) {
     case 'X': sim_.inject_x(q); break;
     case 'Y': sim_.inject_y(q); break;
@@ -305,113 +166,152 @@ void BatchGenericShorRecovery::inject_data(uint32_t q, char pauli) {
 }
 
 void BatchGenericShorRecovery::apply_memory_noise(double p) {
-  for (uint32_t q = 0; q < code_.n(); ++q) sim_.depolarize1(q, p);
+  for (const uint32_t q : extraction_.data) sim_.depolarize1(q, p);
 }
 
-void BatchGenericShorRecovery::measure_generator(size_t g,
-                                                 const uint64_t* active,
-                                                 uint64_t* out) {
-  const size_t width = code_.generators()[g].weight();
-  const std::span<const uint32_t> cat(cat_.data(), width);
-  cats_discarded_ += retry_.prepare(gadgets_, cat_preps_[g], cat, all_qubits_,
-                                    policy_, active);
-  const auto rows = gadgets_.run(gen_gadgets_[g], all_qubits_, active);
-  FTQC_CHECK(rows.size() == width, "generator readout width mismatch");
-  std::fill_n(out, words_, 0);
-  for (const size_t r : rows) {
-    sim::simd::xor_into(out, sim_.record().row(r), words_);
-  }
-  for (size_t i = 0; i < width; ++i) sim_.reset(cat_[i]);
-}
-
-void BatchGenericShorRecovery::extract_syndrome(const uint64_t* active,
-                                                uint64_t* syndrome_rows) {
-  for (size_t g = 0; g < code_.num_generators(); ++g) {
-    measure_generator(g, active, syndrome_rows + g * words_);
+void BatchGenericShorRecovery::extract_syndrome(uint64_t group,
+                                                const uint64_t* active,
+                                                uint64_t* rows) {
+  for (uint64_t rest = group; rest != 0; rest &= rest - 1, rows += words_) {
+    const CatExtraction::Generator& circuits =
+        extraction_.generators[__builtin_ctzll(rest)];
+    const std::span<const uint32_t> cat(extraction_.cat.data(),
+                                        circuits.width);
+    cats_discarded_ += retry_.prepare(gadgets_, circuits.prep, cat,
+                                      extraction_.all_qubits, policy_, active);
+    const auto readout =
+        gadgets_.run(circuits.readout, extraction_.all_qubits, active);
+    FTQC_CHECK(readout.size() == circuits.width,
+               "generator readout width mismatch");
+    std::fill_n(rows, words_, 0);
+    for (const size_t r : readout) {
+      sim::simd::xor_into(rows, sim_.record().row(r), words_);
+    }
   }
 }
 
-void BatchGenericShorRecovery::correct(const uint64_t* syndrome_rows,
-                                       const uint64_t* act_mask) {
-  const size_t num_gen = code_.num_generators();
-  FTQC_CHECK(num_gen <= 64, "syndrome gather packs into one word");
-  // Gather the distinct syndrome values among the acting lanes. Acting
-  // lanes are sparse below threshold, so per-lane bit reads are cheap; each
-  // distinct value is decoded exactly once.
-  std::map<uint64_t, std::vector<uint64_t>> groups;
-  for (size_t w = 0; w < words_; ++w) {
-    uint64_t lanes = act_mask[w];
-    while (lanes != 0) {
-      const int lane = __builtin_ctzll(lanes);
-      lanes &= lanes - 1;
-      uint64_t value = 0;
-      for (size_t g = 0; g < num_gen; ++g) {
-        value |= ((syndrome_rows[g * words_ + w] >> lane) & 1u) << g;
-      }
-      auto [it, inserted] = groups.try_emplace(value);
-      if (inserted) it->second.assign(words_, 0);
-      it->second[w] |= uint64_t{1} << lane;
-    }
+void BatchGenericShorRecovery::correct(uint64_t group, const uint64_t* rows,
+                                       const uint64_t* act) {
+  if (!batch_any_lane(act, words_)) return;
+  // Per data qubit, the acting lanes whose correction has an X (Z) part
+  // there.
+  const size_t n = extraction_.data.size();
+  std::vector<uint64_t> fix_x(n * words_), fix_z(n * words_);
+  for_each_syndrome_value(
+      group, rows, act, words_, [&](uint64_t value, const uint64_t* lanes) {
+        const pauli::PauliString correction =
+            extraction_.decoder.decode(value);
+        for (size_t q = 0; q < n; ++q) {
+          if (correction.x_bit(q)) {
+            sim::simd::or_into(&fix_x[q * words_], lanes, words_);
+          }
+          if (correction.z_bit(q)) {
+            sim::simd::or_into(&fix_z[q * words_], lanes, words_);
+          }
+        }
+      });
+  // The serial fix is a one-layer circuit over the data block: gate noise
+  // and the frame shift (the noiseless run never corrects) on each
+  // corrected qubit, then storage noise on the rest, and only for the lanes
+  // that act (§3.4 lanes that deferred take no fault opportunity at all).
+  const sim::NoiseParams& noise = gadgets_.noise();
+  std::vector<uint64_t> lanes(words_);
+  for (size_t q = 0; q < n; ++q) {
+    std::copy_n(&fix_x[q * words_], words_, lanes.data());
+    sim::simd::or_into(lanes.data(), &fix_z[q * words_], words_);
+    batch_on_gate1(sim_, noise, extraction_.data[q], lanes.data());
+    sim_.inject_x_masked(extraction_.data[q], &fix_x[q * words_]);
+    sim_.inject_z_masked(extraction_.data[q], &fix_z[q * words_]);
   }
-  for (const auto& [value, mask] : groups) {
-    gf2::BitVec syndrome(num_gen);
-    for (size_t g = 0; g < num_gen; ++g) {
-      syndrome.set(g, (value >> g) & 1u);
-    }
-    const pauli::PauliString correction = decoder_.decode(syndrome);
-    // The serial fix is a one-layer circuit over the data block run through
-    // run_gadget: gate noise on each corrected qubit, storage on the rest,
-    // then the frame shift (the noiseless run never corrects).
-    for (size_t q = 0; q < code_.n(); ++q) {
-      if (correction.pauli_at(q) != 'I') {
-        batch_on_gate1(sim_, noise_, static_cast<uint32_t>(q), mask.data());
-      }
-    }
-    for (size_t q = 0; q < code_.n(); ++q) {
-      if (correction.pauli_at(q) == 'I') {
-        batch_on_storage(sim_, noise_, static_cast<uint32_t>(q), mask.data());
-      }
-    }
-    for (size_t q = 0; q < code_.n(); ++q) {
-      switch (correction.pauli_at(q)) {
-        case 'X': sim_.inject_x_masked(q, mask.data()); break;
-        case 'Y': sim_.inject_y_masked(q, mask.data()); break;
-        case 'Z': sim_.inject_z_masked(q, mask.data()); break;
-        default: break;
-      }
-    }
+  for (size_t q = 0; q < n; ++q) {
+    sim::simd::andnot(lanes.data(), act, &fix_x[q * words_], words_);
+    sim::simd::andnot(lanes.data(), lanes.data(), &fix_z[q * words_], words_);
+    batch_on_storage(sim_, noise, extraction_.data[q], lanes.data());
   }
 }
 
 void BatchGenericShorRecovery::run_cycle() {
-  run_batch_repeat_policy(
-      code_.num_generators(), words_, policy_.repeat_nontrivial_syndrome,
-      /*active=*/nullptr,
-      [&](const uint64_t* mask, uint64_t* out) { extract_syndrome(mask, out); },
-      [&](const uint64_t* syn, const uint64_t* act) { correct(syn, act); });
+  for (const uint64_t group : extraction_.groups) {
+    run_batch_repeat_policy(
+        static_cast<size_t>(__builtin_popcountll(group)), words_,
+        policy_.repeat_nontrivial_syndrome, /*active=*/nullptr,
+        [&](const uint64_t* mask, uint64_t* out) {
+          extract_syndrome(group, mask, out);
+        },
+        [&](const uint64_t* syn, const uint64_t* act) {
+          correct(group, syn, act);
+        });
+  }
 }
 
 pauli::PauliString BatchGenericShorRecovery::residual(size_t shot) const {
-  pauli::PauliString r(code_.n());
-  for (size_t q = 0; q < code_.n(); ++q) {
+  pauli::PauliString r(extraction_.data.size());
+  for (const uint32_t q : extraction_.data) {
     r.set_x(q, sim_.x_flip(q, shot));
     r.set_z(q, sim_.z_flip(q, shot));
   }
   return r;
 }
 
-bool BatchGenericShorRecovery::any_logical_error(size_t shot) const {
-  return decoder_.residual_effect(residual(shot)).any();
+void BatchGenericShorRecovery::anticommuting_lanes(const pauli::PauliString& p,
+                                                   uint64_t* out) const {
+  std::fill_n(out, words_, 0);
+  for (const uint32_t q : extraction_.data) {
+    if (p.x_bit(q)) sim::simd::xor_into(out, sim_.z_flips(q), words_);
+    if (p.z_bit(q)) sim::simd::xor_into(out, sim_.x_flips(q), words_);
+  }
 }
 
 uint64_t BatchGenericShorRecovery::count_any_logical_error(
     size_t num_lanes) const {
-  const size_t lanes = std::min(num_lanes, sim_.num_shots());
-  uint64_t count = 0;
-  for (size_t shot = 0; shot < lanes; ++shot) {
-    count += any_logical_error(shot) ? 1 : 0;
+  // Logical-parity words: the lanes whose residual anticommutes with each
+  // logical operator (an X flip of logical qubit i anticommutes with Z_i,
+  // a Z flip with X_i).
+  const codes::StabilizerCode& code = extraction_.code;
+  std::vector<const pauli::PauliString*> logicals;
+  for (size_t i = 0; i < code.k(); ++i) {
+    logicals.push_back(&code.logical_z(i));
+    logicals.push_back(&code.logical_x(i));
   }
-  return count;
+  std::vector<uint64_t> parity(logicals.size() * words_);
+  for (size_t l = 0; l < logicals.size(); ++l) {
+    anticommuting_lanes(*logicals[l], &parity[l * words_]);
+  }
+  // Each group's syndrome words, decoded once per distinct value: where the
+  // decoded correction anticommutes with a logical operator, it flips the
+  // parity of the lanes that read that value.
+  std::vector<uint64_t> rows, nontrivial(words_);
+  for (const uint64_t group : extraction_.groups) {
+    const auto num_rows = static_cast<size_t>(__builtin_popcountll(group));
+    rows.assign(num_rows * words_, 0);
+    size_t row = 0;
+    for (uint64_t rest = group; rest != 0; rest &= rest - 1, ++row) {
+      anticommuting_lanes(code.generators()[__builtin_ctzll(rest)],
+                          &rows[row * words_]);
+    }
+    batch_nontrivial_mask(rows.data(), num_rows, /*active=*/nullptr,
+                          nontrivial.data(), words_);
+    for_each_syndrome_value(
+        group, rows.data(), nontrivial.data(), words_,
+        [&](uint64_t value, const uint64_t* lanes) {
+          const pauli::PauliString correction =
+              extraction_.decoder.decode(value);
+          for (size_t l = 0; l < logicals.size(); ++l) {
+            if (!correction.commutes_with(*logicals[l])) {
+              sim::simd::xor_into(&parity[l * words_], lanes, words_);
+            }
+          }
+        });
+  }
+  for (size_t l = 1; l < logicals.size(); ++l) {
+    sim::simd::or_into(parity.data(), &parity[l * words_], words_);
+  }
+  return batch_count_lanes(parity.data(), words_,
+                           std::min(num_lanes, sim_.num_shots()));
+}
+
+uint64_t BatchGenericShorRecovery::count_retry_exhausted() const {
+  return batch_count_lanes(sim_.abort_mask(), words_, sim_.num_shots());
 }
 
 }  // namespace ftqc::ft

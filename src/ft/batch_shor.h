@@ -4,11 +4,10 @@
 #include <span>
 #include <vector>
 
-#include "codes/lookup_decoder.h"
 #include "codes/stabilizer_code.h"
 #include "ft/batch_recovery.h"
+#include "ft/generic_recovery.h"
 #include "ft/recovery.h"
-#include "gf2/hamming.h"
 #include "pauli/pauli_string.h"
 #include "sim/batch_frame_sim.h"
 #include "sim/noise_model.h"
@@ -54,73 +53,16 @@ class BatchCatRetry {
   std::vector<uint64_t> parked_;  // [cat qubit][x|z][word]
 };
 
-// Bit-parallel ShorRecovery: one full cat-state recovery cycle (§3.2-§3.4)
-// on 64 shots per word. Each of the six generators is measured with a
-// verified 4-bit cat prepared through BatchCatRetry; syndrome bits are
-// bit-sliced parities of the cat readout rows; the §3.4 repeat and the
-// correction become lane masking, exactly as in BatchSteaneRecovery.
-// Register layout matches ShorRecovery: data [0,7), cat [7,11), check 11.
-class BatchShorRecovery {
- public:
-  static constexpr uint32_t kNumQubits = 12;
-
-  // shots is rounded up to a multiple of 64.
-  BatchShorRecovery(const sim::NoiseParams& noise, RecoveryPolicy policy,
-                    size_t shots, uint64_t seed);
-
-  [[nodiscard]] size_t num_shots() const { return sim_.num_shots(); }
-  [[nodiscard]] size_t num_words() const { return sim_.num_words(); }
-
-  void reset();
-  void inject_data(uint32_t q, char pauli);
-  void apply_memory_noise(double p);
-
-  void run_cycle();
-
-  [[nodiscard]] uint64_t count_any_logical_error(
-      size_t num_lanes = SIZE_MAX) const;
-  [[nodiscard]] bool logical_x_error(size_t shot) const;
-  [[nodiscard]] bool logical_z_error(size_t shot) const;
-  [[nodiscard]] bool any_logical_error(size_t shot) const {
-    return logical_x_error(shot) || logical_z_error(shot);
-  }
-
-  // Cat preparations discarded by verification, summed over lanes (E3).
-  [[nodiscard]] uint64_t cats_discarded() const { return cats_discarded_; }
-  // Lanes whose retry budget ran out without a verified cat (also set in
-  // frames().abort_mask(); empty at realistic noise).
-  [[nodiscard]] uint64_t count_retry_exhausted() const;
-
-  [[nodiscard]] sim::BatchFrameSim& frames() { return sim_; }
-
- private:
-  // Writes one bit-sliced syndrome bit (words words) into `out`.
-  void measure_syndrome_bit(size_t row, bool x_type, const uint64_t* active,
-                            uint64_t* out);
-  // Writes 3 syndrome rows (3 * words words) into `syndrome_rows`.
-  void extract_syndrome(bool phase_type, const uint64_t* active,
-                        uint64_t* syndrome_rows);
-
-  sim::BatchFrameSim sim_;
-  BatchGadgetRunner gadgets_;
-  BatchCatRetry retry_;
-  sim::NoiseParams noise_;
-  RecoveryPolicy policy_;
-  gf2::Hamming743 hamming_;
-  size_t words_;
-  uint64_t cats_discarded_ = 0;
-};
-
-// Bit-parallel GenericShorRecovery (§3.6/§4.2): fault-tolerant recovery for
-// an arbitrary stabilizer code, 64 shots per word. Generator measurement
-// and the cat-retry loop are bit-sliced as in BatchShorRecovery; the
-// correction step gathers the per-lane syndrome values among the acting
-// lanes, decodes each DISTINCT value once through the code's lookup
-// decoder, and applies the resulting Pauli as masked injections (acting
-// lanes are sparse below threshold, so the gather costs a handful of bit
-// reads per correcting shot).
+// Bit-parallel GenericShorRecovery: the same cycle at 64 shots per word on
+// the serial driver's CatExtraction. Cats go through BatchCatRetry, and the
+// §3.4 repeat and the correction become lane masking. The correction and
+// the word-level logical verdict decode each DISTINCT syndrome value among
+// the lanes once; the correction then draws noise qubit by qubit in data
+// order, the draws of batch_correct_data_block. On codes::steane() it makes
+// the serial driver's decisions lane for lane (ShorFingerprint.*).
 class BatchGenericShorRecovery {
  public:
+  // shots is rounded up to a multiple of 64.
   BatchGenericShorRecovery(const codes::StabilizerCode& code,
                            const sim::NoiseParams& noise,
                            RecoveryPolicy policy, size_t shots, uint64_t seed);
@@ -136,32 +78,36 @@ class BatchGenericShorRecovery {
 
   // Residual error of one lane, as a signed-free Pauli.
   [[nodiscard]] pauli::PauliString residual(size_t shot) const;
-  [[nodiscard]] bool any_logical_error(size_t shot) const;
+  [[nodiscard]] bool any_logical_error(size_t shot) const {
+    return extraction_.logical_error(residual(shot));
+  }
+  // Lanes (among the first `num_lanes`; SIZE_MAX = all) whose residual
+  // defeats ideal decoding.
   [[nodiscard]] uint64_t count_any_logical_error(
       size_t num_lanes = SIZE_MAX) const;
 
+  // Cat preparations discarded by verification, summed over lanes (E3).
   [[nodiscard]] uint64_t cats_discarded() const { return cats_discarded_; }
+  // Lanes whose retry budget ran out without a verified cat (also set in
+  // frames().abort_mask(); empty at realistic noise).
+  [[nodiscard]] uint64_t count_retry_exhausted() const;
+
   [[nodiscard]] sim::BatchFrameSim& frames() { return sim_; }
 
  private:
-  void measure_generator(size_t g, const uint64_t* active, uint64_t* out);
-  void extract_syndrome(const uint64_t* active, uint64_t* syndrome_rows);
-  void correct(const uint64_t* syndrome_rows, const uint64_t* act_mask);
+  // Writes one syndrome row per generator of `group` (in index order).
+  void extract_syndrome(uint64_t group, const uint64_t* active,
+                        uint64_t* rows);
+  void correct(uint64_t group, const uint64_t* rows, const uint64_t* act);
+  // Lanes whose residual frame anticommutes with `p` (words_ words).
+  void anticommuting_lanes(const pauli::PauliString& p, uint64_t* out) const;
 
-  const codes::StabilizerCode& code_;
-  codes::LookupDecoder decoder_;
+  CatExtraction extraction_;
   sim::BatchFrameSim sim_;
   BatchGadgetRunner gadgets_;
   BatchCatRetry retry_;
-  sim::NoiseParams noise_;
   RecoveryPolicy policy_;
   size_t words_;
-  size_t max_weight_;
-  std::vector<uint32_t> cat_;
-  uint32_t check_;
-  std::vector<uint32_t> all_qubits_;
-  std::vector<sim::Circuit> cat_preps_;    // per generator (width-matched)
-  std::vector<sim::Circuit> gen_gadgets_;  // per generator
   uint64_t cats_discarded_ = 0;
 };
 

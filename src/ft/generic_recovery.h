@@ -7,24 +7,64 @@
 #include "codes/stabilizer_code.h"
 #include "ft/noise_injector.h"
 #include "ft/recovery.h"
+#include "sim/circuit.h"
 #include "sim/frame_sim.h"
 #include "sim/noise_model.h"
 
 namespace ftqc::ft {
 
+// What a cat-state recovery driver reads off its code, built once per
+// driver and shared by the serial and batch engines so their circuits and
+// decoding cannot drift. Register layout: data [0, n), cat [n, n + max
+// generator weight), check qubit last.
+//
+// Everything that differs between codes follows from the generators:
+//  * a pure-Z generator is read out through a Shor state (§3.2): the
+//    verified cat gets its final Hadamards and each supported data qubit
+//    XORs into its own cat bit (Fig. 6 "Good!"), read in the Z basis; any
+//    other generator uses the plain cat, one controlled-Pauli per supported
+//    qubit and an X-basis readout (§3.6). Either way the syndrome bit is the
+//    parity of the `width` readout bits;
+//  * a CSS code extracts, repeats (§3.4) and corrects its Z-type generators
+//    before its X-type ones, as Steane's bit-flip and phase-flip syndromes;
+//    any other code is one group;
+//  * each group's syndrome is decoded on its own, both for the correction
+//    and for the final logical verdict.
+struct CatExtraction {
+  explicit CatExtraction(const codes::StabilizerCode& code);
+
+  struct Generator {
+    size_t width = 0;
+    sim::Circuit prep;     // cat_prep_with_check: measures the check bit
+    sim::Circuit readout;  // measures the `width` cat bits
+  };
+
+  // True if `residual` (on the data block) is a logical error once each
+  // group's part of its syndrome is decoded and corrected.
+  [[nodiscard]] bool logical_error(const pauli::PauliString& residual) const;
+
+  const codes::StabilizerCode& code;
+  codes::LookupDecoder decoder;
+  std::vector<uint32_t> data;
+  std::vector<uint32_t> cat;
+  uint32_t check = 0;
+  std::vector<uint32_t> all_qubits;
+  std::vector<Generator> generators;
+  // Generator bitmasks (bit g = generator g), extracted in this order.
+  std::vector<uint64_t> groups;
+};
+
 // Fault-tolerant recovery for an ARBITRARY stabilizer code via the
-// generalized Shor method of §3.6: each generator M (any product of X, Y, Z)
-// is measured with a verified cat state whose width equals the generator
-// weight, one controlled-Pauli per ancilla bit, and an X-basis cat readout
-// whose parity is the eigenvalue. Syndromes follow the §3.4 repetition
-// policy; corrections come from the code's minimum-weight lookup decoder.
+// generalized Shor method of §3.6: each generator is measured with a
+// verified cat state whose width equals the generator weight (see
+// CatExtraction), syndromes follow the §3.4 repetition policy, and
+// corrections come from the code's minimum-weight lookup decoder. On the
+// Steane code this is the cat-state recovery of §3.2-§3.4.
 //
 // This is the machinery behind the §4.2 claim that "universal fault-tolerant
 // quantum computation can be achieved with any stabilizer code" — including
 // the five-qubit code (whose generators mix X and Z on one qubit) and the
 // [[15,7,3]] Hamming CSS code.
-//
-// Register layout: data [0, n), cat [n, n + max_weight), check qubit last.
 class GenericShorRecovery {
  public:
   GenericShorRecovery(const codes::StabilizerCode& code,
@@ -35,35 +75,33 @@ class GenericShorRecovery {
   void inject_data(uint32_t q, char pauli);
   void apply_memory_noise(double p);
 
-  // One full recovery cycle: measure every generator (repeating per policy),
-  // decode with the lookup table, apply the correction.
+  // One full recovery cycle: for each generator group, measure its
+  // generators (repeating per policy), decode, apply the correction.
   void run_cycle();
 
   // Residual error on the data block, as a signed-free Pauli.
   [[nodiscard]] pauli::PauliString residual() const;
   // True if the residual defeats ideal decoding (a logical error).
-  [[nodiscard]] bool any_logical_error() const;
+  [[nodiscard]] bool any_logical_error() const {
+    return extraction_.logical_error(residual());
+  }
 
+  // Cat preparations discarded by verification so far (E3).
   [[nodiscard]] size_t cats_discarded() const { return cats_discarded_; }
   void set_injector(NoiseInjector* injector);
   [[nodiscard]] sim::FrameSim& frame() { return frame_; }
 
  private:
-  [[nodiscard]] bool measure_generator(const pauli::PauliString& generator);
-  [[nodiscard]] gf2::BitVec extract_syndrome();
-  void prepare_verified_cat(size_t width);
+  [[nodiscard]] bool measure_generator(size_t g);
+  // Packed syndrome of one group (bit g for generator g).
+  [[nodiscard]] uint64_t extract_syndrome(uint64_t group);
+  void correct(uint64_t syndrome);
 
-  const codes::StabilizerCode& code_;
-  codes::LookupDecoder decoder_;
+  CatExtraction extraction_;
   sim::FrameSim frame_;
-  sim::NoiseParams noise_;
   RecoveryPolicy policy_;
   StochasticInjector stochastic_;
   NoiseInjector* injector_;
-  size_t max_weight_;
-  std::vector<uint32_t> cat_;
-  uint32_t check_;
-  std::vector<uint32_t> all_qubits_;
   size_t cats_discarded_ = 0;
 };
 

@@ -3,7 +3,7 @@
 #include "codes/library.h"
 #include "ft/batch_recovery.h"
 #include "ft/batch_shor.h"
-#include "ft/shor_recovery.h"
+#include "ft/generic_recovery.h"
 #include "ft/steane_recovery.h"
 #include "universal/batch_flag_recovery.h"
 #include "universal/flag_recovery.h"
@@ -15,13 +15,6 @@ namespace {
 // Per-shot seed spacing: kept from the original hand-rolled loop so frame
 // sweeps stay reproducible against pre-ShotRunner results.
 constexpr uint64_t kSeedStride = 0x9E37;
-
-template <typename Driver>
-bool one_cycle_fails(const sim::NoiseParams& noise, uint64_t seed) {
-  Driver rec(noise, ft::RecoveryPolicy{}, seed);
-  rec.run_cycle();
-  return rec.any_logical_error();
-}
 
 }  // namespace
 
@@ -38,38 +31,39 @@ CyclePoint measure_cycle_failure(RecoveryMethod method, double eps_gate,
   plan.parallel = parallel;
   const sim::ShotRunner runner(plan);
 
+  // kShor and kFlag run the code-generic drivers on the Steane code. The
+  // Shor cat-retry loop is data-dependent per shot; the batch driver replays
+  // it as masked re-replay of the failed lanes.
+  const auto& steane = codes::steane();
+  const ft::RecoveryPolicy policy;
   const auto shot_fails = [&](uint64_t shot_seed) {
-    if (method == RecoveryMethod::kFlag) {
-      // Code-first constructor: the flag family is code-generic.
-      universal::FlagRecovery rec(codes::steane(), noise, ft::RecoveryPolicy{},
-                                  shot_seed);
+    const auto fails = [](auto&& rec) {
       rec.run_cycle();
       return rec.any_logical_error();
+    };
+    if (method == RecoveryMethod::kSteane) {
+      return fails(ft::SteaneRecovery(noise, policy, shot_seed));
     }
-    return method == RecoveryMethod::kSteane
-               ? one_cycle_fails<ft::SteaneRecovery>(noise, shot_seed)
-               : one_cycle_fails<ft::ShorRecovery>(noise, shot_seed);
+    if (method == RecoveryMethod::kShor) {
+      return fails(ft::GenericShorRecovery(steane, noise, policy, shot_seed));
+    }
+    return fails(universal::FlagRecovery(steane, noise, policy, shot_seed));
   };
   const auto block_fails = [&](uint64_t block_seed, size_t block_shots) {
+    const auto failures = [&](auto&& rec) {
+      rec.run_cycle();
+      return rec.count_any_logical_error(block_shots);
+    };
     if (method == RecoveryMethod::kSteane) {
-      ft::BatchSteaneRecovery rec(noise, ft::RecoveryPolicy{}, block_shots,
-                                  block_seed);
-      rec.run_cycle();
-      return rec.count_any_logical_error(block_shots);
+      return failures(
+          ft::BatchSteaneRecovery(noise, policy, block_shots, block_seed));
     }
-    if (method == RecoveryMethod::kFlag) {
-      universal::BatchFlagRecovery rec(codes::steane(), noise,
-                                       ft::RecoveryPolicy{}, block_shots,
-                                       block_seed);
-      rec.run_cycle();
-      return rec.count_any_logical_error(block_shots);
+    if (method == RecoveryMethod::kShor) {
+      return failures(ft::BatchGenericShorRecovery(steane, noise, policy,
+                                                   block_shots, block_seed));
     }
-    // The Shor cat-retry loop is data-dependent per shot; BatchShorRecovery
-    // replays it as masked re-replay of the failed lanes.
-    ft::BatchShorRecovery rec(noise, ft::RecoveryPolicy{}, block_shots,
-                              block_seed);
-    rec.run_cycle();
-    return rec.count_any_logical_error(block_shots);
+    return failures(universal::BatchFlagRecovery(steane, noise, policy,
+                                                 block_shots, block_seed));
   };
   const sim::ShotResult result = runner.run(shot_fails, block_fails);
 

@@ -31,9 +31,10 @@ struct CyclePoint {
 
 // One sweep point, driven by a ShotRunner. Engine selection:
 //  * kFrame — one serial FrameSim recovery per shot (OpenMP over shots);
-//  * kBatch — BatchSteaneRecovery / BatchShorRecovery, 64 shots per word
-//    (OpenMP over blocks). The Shor cat-retry loop is data-dependent per
-//    shot; the batch driver replays it as masked re-replay of failed lanes.
+//  * kBatch — the 64-shot-per-word twin of each driver (OpenMP over
+//    blocks). The Shor cat-retry loop is data-dependent per shot; the batch
+//    driver replays it as masked re-replay of failed lanes.
+// kShor and kFlag run the code-generic drivers on codes::steane().
 // `parallel = false` opts the shot loop out of OpenMP — sweep-scheduler
 // points do this because the worker pool already owns all parallelism.
 [[nodiscard]] CyclePoint measure_cycle_failure(

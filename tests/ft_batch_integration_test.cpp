@@ -1,10 +1,10 @@
 // Batch-vs-serial pins for the level-2 exRec cycle and the cat-retry
 // recovery paths: (a) noiseless injected-error patterns must decode
 // bit-for-bit identically on every lane, for both level-2 disciplines and
-// both cat-retry drivers; (b) stochastic failure estimates over >= 4k
-// shots must pass a two-sample z-test at a stated false-failure rate; (c) the batched
-// retry loop's cap-exhaustion edge case must surface in the abort mask
-// instead of silently passing as verified.
+// the cat-retry drivers on the Steane and five-qubit codes; (b) stochastic
+// failure counts over >= 4k shots must pass a two-sample z-test at a stated
+// false-failure rate; (c) the batched retry loop's cap-exhaustion edge case
+// must surface in the abort mask instead of silently passing as verified.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -16,7 +16,6 @@
 #include "ft/batch_shor.h"
 #include "ft/concatenated_recovery.h"
 #include "ft/generic_recovery.h"
-#include "ft/shor_recovery.h"
 #include "sim/noise_model.h"
 #include "threshold/pseudothreshold.h"
 
@@ -150,24 +149,28 @@ TEST(BatchLevel2Pins, FailureRateMatchesSerialExRec) {
 }
 
 // --- Shor cat-retry path ----------------------------------------------------
+//
+// Shor's cat-state recovery of the Steane block is the code-generic driver
+// pair on codes::steane().
 
 void expect_shor_matches_serial(const std::vector<std::pair<uint32_t, char>>&
                                     injections) {
-  ShorRecovery serial(kNoiseless, RecoveryPolicy{}, /*seed=*/1);
+  GenericShorRecovery serial(codes::steane(), kNoiseless, RecoveryPolicy{},
+                             /*seed=*/1);
   for (const auto& [q, p] : injections) serial.inject_data(q, p);
   serial.run_cycle();
 
-  BatchShorRecovery batch(kNoiseless, RecoveryPolicy{}, /*shots=*/128,
-                          /*seed=*/77);
+  BatchGenericShorRecovery batch(codes::steane(), kNoiseless,
+                                 RecoveryPolicy{}, /*shots=*/128,
+                                 /*seed=*/77);
   for (const auto& [q, p] : injections) batch.inject_data(q, p);
   batch.run_cycle();
 
   EXPECT_EQ(batch.cats_discarded(), 0u);
   EXPECT_EQ(batch.count_retry_exhausted(), 0u);
   for (size_t shot : {size_t{0}, size_t{63}, size_t{64}, size_t{127}}) {
-    EXPECT_EQ(batch.logical_x_error(shot), serial.logical_x_error())
-        << "shot " << shot;
-    EXPECT_EQ(batch.logical_z_error(shot), serial.logical_z_error())
+    EXPECT_EQ(batch.residual(shot), serial.residual()) << "shot " << shot;
+    EXPECT_EQ(batch.any_logical_error(shot), serial.any_logical_error())
         << "shot " << shot;
   }
   const uint64_t expected = serial.any_logical_error() ? batch.num_shots() : 0u;
@@ -189,8 +192,8 @@ TEST(BatchShorPins, NoiselessPatternsMatchSerial) {
   }
 }
 
-// The threshold driver now dispatches kShor to BatchShorRecovery; the two
-// engines must agree statistically through the shared path.
+// The threshold driver dispatches kShor to the generic pair on the Steane
+// code; the two engines must agree statistically through the shared path.
 TEST(BatchShorPins, FailureRateMatchesSerialEngine) {
   const double eps = 8e-3;
   const size_t shots = 4096;
@@ -213,7 +216,8 @@ TEST(BatchShorPins, RetryCapExhaustionSurfacesInAbortMask) {
   sim::NoiseParams always_fail;
   always_fail.eps_meas = 1.0;
   RecoveryPolicy policy;
-  BatchShorRecovery rec(always_fail, policy, /*shots=*/128, /*seed=*/5);
+  BatchGenericShorRecovery rec(codes::steane(), always_fail, policy,
+                               /*shots=*/128, /*seed=*/5);
   rec.run_cycle();
   EXPECT_EQ(rec.count_retry_exhausted(), rec.num_shots());
   EXPECT_EQ(rec.frames().num_kept(), 0u);
@@ -231,11 +235,13 @@ TEST(BatchShorPins, RetryLoopDiscardStatisticsMatchSerial) {
   const size_t shots = 2048;
   uint64_t serial_discards = 0;
   for (size_t s = 0; s < shots; ++s) {
-    ShorRecovery rec(noise, RecoveryPolicy{}, 100 + 7 * s);
+    GenericShorRecovery rec(codes::steane(), noise, RecoveryPolicy{},
+                            100 + 7 * s);
     rec.run_cycle();
     serial_discards += rec.cats_discarded();
   }
-  BatchShorRecovery batch(noise, RecoveryPolicy{}, shots, /*seed=*/42);
+  BatchGenericShorRecovery batch(codes::steane(), noise, RecoveryPolicy{},
+                                 shots, /*seed=*/42);
   batch.run_cycle();
   const double per_shot_serial =
       static_cast<double>(serial_discards) / static_cast<double>(shots);

@@ -201,8 +201,6 @@ TEST(BatchRecovery, RejectsLeakageWithStructuredError) {
     EXPECT_NE(std::string(e.what()).find("SteaneRecovery"),
               std::string::npos);
   }
-  EXPECT_THROW(BatchShorRecovery(noise, RecoveryPolicy{}, 64, 1),
-               UnsupportedChannel);
   EXPECT_THROW(BatchGenericShorRecovery(codes::five_qubit(), noise,
                                         RecoveryPolicy{}, 64, 1),
                UnsupportedChannel);

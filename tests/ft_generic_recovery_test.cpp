@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <ostream>
+
 #include "codes/library.h"
 #include "fnv1a.h"
 #include "ft/batch_shor.h"
 #include "ft/fault_enumeration.h"
 #include "ft/generic_recovery.h"
-#include "ft/shor_recovery.h"
 #include "sim/runner.h"
 #include "sim/statevector_sim.h"
 
@@ -77,23 +79,53 @@ TEST(GenericShorRecovery, CorrectsAllSingleErrorsOnHamming15) {
   }
 }
 
-TEST(GenericShorRecovery, FiveQubitSurvivesEverySingleFault) {
-  // §4.2: fault-tolerant computation is possible with ANY stabilizer code —
-  // here the single-fault property for the non-CSS five-qubit code.
+// §3's fault-tolerance property, checked exhaustively: no single fault
+// anywhere in one cat-state recovery cycle may leave a logical error. §4.2
+// claims it for ANY stabilizer code: the non-CSS five-qubit code (one
+// group, controlled-Pauli combs), and the CSS Steane, Shor and [[15,7,3]]
+// codes (Shor-state readout of the Z-type generators, two groups). The
+// location counts pin each code's circuits; Steane's 918 locations and
+// 3,282 faults are those of the Steane-only driver this one replaced.
+struct ScanCase {
+  const codes::StabilizerCode* code;
+  size_t locations;
+  size_t faults;
+};
+
+// CTest names each instance after the printed parameter: print the code's
+// alphanumeric name so the names are the same in every build.
+void PrintTo(const ScanCase& scan_case, std::ostream* os) {
+  for (const char c : scan_case.code->name()) {
+    if (std::isalnum(static_cast<unsigned char>(c))) *os << c;
+  }
+}
+
+class ShorSingleFaultScan : public ::testing::TestWithParam<ScanCase> {};
+
+TEST_P(ShorSingleFaultScan, SurvivesEverySingleFault) {
+  const ScanCase& scan_case = GetParam();
   const auto scan = scan_single_faults(
-      [](NoiseInjector& injector) {
-        GenericShorRecovery rec(codes::five_qubit(), kNoiseless,
-                                RecoveryPolicy{}, 31);
+      [&](NoiseInjector& injector) {
+        GenericShorRecovery rec(*scan_case.code, kNoiseless, RecoveryPolicy{},
+                                79);
         rec.set_injector(&injector);
         rec.run_cycle();
         rec.set_injector(nullptr);
         return rec.any_logical_error();
       },
       all_kinds());
-  EXPECT_GT(scan.num_locations, 80u);
+  EXPECT_EQ(scan.num_locations, scan_case.locations);
+  EXPECT_EQ(scan.faults_tried, scan_case.faults);
   EXPECT_EQ(scan.faults_failing, 0u)
-      << "single fault broke the generic Shor recovery";
+      << "a single fault broke the cat-state recovery";
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    LibraryCodes, ShorSingleFaultScan,
+    ::testing::Values(ScanCase{&codes::five_qubit(), 484, 1804},
+                      ScanCase{&codes::steane(), 918, 3282},
+                      ScanCase{&codes::shor9(), 1448, 4888},
+                      ScanCase{&codes::hamming15(), 3992, 13320}));
 
 // --- Recorded fingerprints ---------------------------------------------------
 //
@@ -101,8 +133,9 @@ TEST(GenericShorRecovery, FiveQubitSurvivesEverySingleFault) {
 // at two noise points: uniform depolarizing gates, and Z-biased gates with
 // storage noise and heralded erasure (which exercises the herald discard
 // in the cat-retry loop). The Steane constants were recorded with the
-// Steane-only cat-state drivers, so they pin the code-generic drivers to
-// the same decisions draw for draw.
+// Steane-only cat-state drivers (ShorRecovery and BatchShorRecovery) before
+// they were deleted, so they pin the code-generic drivers on
+// codes::steane() to the same decisions, draw for draw.
 
 sim::NoiseParams fingerprint_noise(bool biased) {
   if (!biased) return sim::NoiseParams::uniform_gate(8e-3);
@@ -155,8 +188,9 @@ TEST(ShorFingerprint, SteaneSerialShots) {
     const auto noise = fingerprint_noise(biased);
     EXPECT_EQ(serial_fingerprint(7,
                                  [&](uint64_t seed) {
-                                   return ShorRecovery(noise, RecoveryPolicy{},
-                                                       seed);
+                                   return GenericShorRecovery(
+                                       codes::steane(), noise,
+                                       RecoveryPolicy{}, seed);
                                  }),
               expected[biased])
         << (biased ? "biased" : "uniform");
@@ -167,8 +201,9 @@ TEST(ShorFingerprint, SteaneBatchBlock) {
   const uint64_t expected[2] = {0x6f647839e02efc39ull,
                                  0xe9136b72672c61e3ull};
   for (const bool biased : {false, true}) {
-    BatchShorRecovery rec(fingerprint_noise(biased), RecoveryPolicy{},
-                          /*shots=*/4096, /*seed=*/23);
+    BatchGenericShorRecovery rec(codes::steane(), fingerprint_noise(biased),
+                                 RecoveryPolicy{}, /*shots=*/4096,
+                                 /*seed=*/23);
     EXPECT_EQ(batch_fingerprint(rec, 7), expected[biased])
         << (biased ? "biased" : "uniform");
   }

@@ -1,9 +1,10 @@
 #include <gtest/gtest.h>
 
+#include "codes/library.h"
 #include "common/stats.h"
 #include "ft/fault_enumeration.h"
+#include "ft/generic_recovery.h"
 #include "ft/noise_injector.h"
-#include "ft/shor_recovery.h"
 #include "ft/steane_recovery.h"
 
 namespace ftqc::ft {
@@ -88,8 +89,11 @@ TEST(SteaneRecovery, MixedPairOnDistinctQubitsIsCorrected) {
   EXPECT_FALSE(rec.any_logical_error());
 }
 
+// Shor's cat-state recovery of the Steane block (§3.2-§3.4) is the
+// code-generic driver on codes::steane(); its single-fault scan runs with
+// the other library codes in ft_generic_recovery_test.cpp.
 TEST(ShorRecovery, NoiselessCycleIsClean) {
-  ShorRecovery rec(kNoiseless, full_policy(), 2);
+  GenericShorRecovery rec(codes::steane(), kNoiseless, full_policy(), 2);
   rec.run_cycle();
   EXPECT_FALSE(rec.any_logical_error());
   EXPECT_EQ(rec.cats_discarded(), 0u);
@@ -98,7 +102,8 @@ TEST(ShorRecovery, NoiselessCycleIsClean) {
 TEST(ShorRecovery, CorrectsEverySingleDataError) {
   for (uint32_t q = 0; q < 7; ++q) {
     for (char pauli : {'X', 'Y', 'Z'}) {
-      ShorRecovery rec(kNoiseless, full_policy(), 30 + q);
+      GenericShorRecovery rec(codes::steane(), kNoiseless, full_policy(),
+                              30 + q);
       rec.inject_data(q, pauli);
       rec.run_cycle();
       EXPECT_FALSE(rec.any_logical_error())
@@ -147,20 +152,6 @@ TEST(FaultTolerance, SteaneRecoveryLeavesAtMostOneErrorPerTypePerFault) {
       all_kinds());
   EXPECT_EQ(scan.faults_failing, 0u)
       << "a single fault left two same-type errors in the block";
-}
-
-TEST(FaultTolerance, ShorRecoverySurvivesEverySingleFault) {
-  const auto scan = scan_single_faults(
-      [](NoiseInjector& injector) {
-        ShorRecovery rec(kNoiseless, full_policy(), 79);
-        rec.set_injector(&injector);
-        rec.run_cycle();
-        rec.set_injector(nullptr);
-        return rec.any_logical_error();
-      },
-      all_kinds());
-  EXPECT_GT(scan.num_locations, 100u);
-  EXPECT_EQ(scan.faults_failing, 0u);
 }
 
 TEST(FaultTolerance, UnverifiedAncillaBreaksSingleFaultSafety) {
@@ -284,7 +275,7 @@ TEST(HeraldReinit, ExhaustedBudgetTerminatesAndProceeds) {
   noise.p_erase = 1.0;
   SteaneRecovery rec(noise, full_policy(), 3);
   rec.run_cycle();
-  ShorRecovery shor(noise, full_policy(), 4);
+  GenericShorRecovery shor(codes::steane(), noise, full_policy(), 4);
   shor.run_cycle();
 }
 
