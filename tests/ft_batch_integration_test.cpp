@@ -3,19 +3,25 @@
 // bit-for-bit identically on every lane, for both level-2 disciplines and
 // the cat-retry drivers on the Steane and five-qubit codes; (b) stochastic
 // failure counts over >= 4k shots must pass a two-sample z-test at a stated
-// false-failure rate; (c) the batched retry loop's cap-exhaustion edge case
-// must surface in the abort mask instead of silently passing as verified.
+// false-failure rate, after one cycle on a clean block and after several
+// cycles with memory noise, which only a working correction survives; (c)
+// the batched retry loop's cap-exhaustion edge case must surface in the
+// abort mask instead of silently passing as verified; (d) recorded level-2
+// block fingerprints hold.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
 #include <vector>
 
+#include "batch_pins.h"
 #include "codes/library.h"
+#include "fnv1a.h"
 #include "ft/batch_level2.h"
+#include "ft/batch_recovery.h"
 #include "ft/batch_shor.h"
 #include "ft/concatenated_recovery.h"
 #include "ft/generic_recovery.h"
+#include "ft/steane_recovery.h"
 #include "sim/noise_model.h"
 #include "threshold/pseudothreshold.h"
 
@@ -94,29 +100,6 @@ TEST(BatchLevel2Pins, NoiselessPatternsMatchSerialExRecDataRecoveries) {
     expect_level2_matches_serial(policy, {{q, 'Z'}});
   }
   expect_level2_matches_serial(policy, {{0, 'X'}, {8, 'X'}});
-}
-
-// Stochastic agreement between the engines: both counts target the same
-// failure probability, so a two-sample binomial z-test (pooled variance)
-// bounds their difference. The bound sits at a false-failure rate of 1e-6
-// per check, as in perfbench's reference checks: a correct driver fails it
-// for about one seed in a million, while a batch driver that skips its
-// correction fails it at the pinned seeds and shot counts.
-constexpr double kFalseFailureRate = 1e-6;
-// Two-sided normal quantile at kFalseFailureRate: Phi^-1(1 - 5e-7).
-constexpr double kZCritical = 4.891638;
-
-void expect_counts_agree(uint64_t serial_failures, uint64_t batch_failures,
-                         size_t shots) {
-  const double n = static_cast<double>(shots);
-  const double pf = static_cast<double>(serial_failures) / n;
-  const double pb = static_cast<double>(batch_failures) / n;
-  const double pooled = (pf + pb) / 2;
-  const double se = std::sqrt(pooled * (1 - pooled) * 2 / n);
-  const double z = se > 0 ? std::fabs(pf - pb) / se : 0.0;
-  EXPECT_LE(z, kZCritical)
-      << "serial " << pf << " vs batch " << pb << ": |z| " << z
-      << " (false-failure rate " << kFalseFailureRate << ")";
 }
 
 void expect_level2_statistics_match(Level2Discipline discipline, double eps,
@@ -308,6 +291,89 @@ TEST(BatchGenericPins, FailureRateMatchesSerialOnFiveQubitCode) {
   EXPECT_GT(static_cast<double>(serial_failures), 0.005 * shots);
   expect_counts_agree(serial_failures, batch.count_any_logical_error(shots),
                       shots);
+}
+
+
+// --- Recorded level-2 fingerprints -------------------------------------------
+//
+// Per-lane verdicts, data frames and the abort mask of one 1,024-lane block
+// under uniform gate noise, for both disciplines. Recorded before the
+// level-2 circuit tables were shared between the engines and before the
+// batch correction was routed through the channel hooks; at uniform noise
+// neither may change a draw.
+
+uint64_t level2_block_fingerprint(Level2Discipline discipline) {
+  BatchLevel2Recovery rec(sim::NoiseParams::uniform_gate(4e-3),
+                          policy_for(discipline), /*shots=*/1024,
+                          /*seed=*/13);
+  rec.run_cycle();
+  Fnv1a hash;
+  for (size_t shot = 0; shot < rec.num_shots(); ++shot) {
+    hash.add(uint64_t{rec.logical_x_error(shot)} |
+             uint64_t{rec.logical_z_error(shot)} << 1);
+  }
+  hash.add(rec.count_any_logical_error());
+  const sim::BatchFrameSim& frames = rec.frames();
+  for (size_t w = 0; w < rec.num_words(); ++w) {
+    for (uint32_t q = 0; q < BatchLevel2Recovery::kBlock; ++q) {
+      hash.add(frames.x_flips(q)[w]);
+      hash.add(frames.z_flips(q)[w]);
+    }
+    hash.add(frames.abort_mask()[w]);
+  }
+  return hash.value();
+}
+
+TEST(BatchLevel2Pins, BareBlockMatchesRecordedFingerprint) {
+  EXPECT_EQ(level2_block_fingerprint(Level2Discipline::kBare),
+            0x74027bfae2bf8295ull);
+}
+
+TEST(BatchLevel2Pins, ExRecBlockMatchesRecordedFingerprint) {
+  EXPECT_EQ(level2_block_fingerprint(Level2Discipline::kExRec),
+            0x5af2911ad88af287ull);
+}
+
+// --- Pins that see the correction -------------------------------------------
+//
+// Several cycles, each after memory noise on the data block of both engines
+// (see expect_memory_cycles_agree).
+
+TEST(MemoryCyclePins, SteaneMatchesSerial) {
+  const auto noise = sim::NoiseParams::uniform_gate(2e-3);
+  SteaneRecovery serial(noise, RecoveryPolicy{}, /*seed=*/7);
+  BatchSteaneRecovery batch(noise, RecoveryPolicy{}, /*shots=*/8192,
+                            /*seed=*/71);
+  expect_memory_cycles_agree(serial, batch, /*cycles=*/3, /*p=*/0.03);
+}
+
+TEST(MemoryCyclePins, ShorOnSteaneMatchesSerial) {
+  const auto noise = sim::NoiseParams::uniform_gate(2e-3);
+  GenericShorRecovery serial(codes::steane(), noise, RecoveryPolicy{},
+                             /*seed=*/9);
+  BatchGenericShorRecovery batch(codes::steane(), noise, RecoveryPolicy{},
+                                 /*shots=*/8192, /*seed=*/73);
+  expect_memory_cycles_agree(serial, batch, /*cycles=*/3, /*p=*/0.03);
+}
+
+TEST(MemoryCyclePins, FiveQubitGenericMatchesSerial) {
+  const auto noise = sim::NoiseParams::uniform_gate(2e-3);
+  GenericShorRecovery serial(codes::five_qubit(), noise, RecoveryPolicy{},
+                             /*seed=*/11);
+  BatchGenericShorRecovery batch(codes::five_qubit(), noise,
+                                 RecoveryPolicy{}, /*shots=*/8192,
+                                 /*seed=*/79);
+  expect_memory_cycles_agree(serial, batch, /*cycles=*/3, /*p=*/0.03);
+}
+
+TEST(MemoryCyclePins, Level2BareMatchesSerial) {
+  // Level-2 bare fails often at 2e-3 on its own, which would drown the
+  // correction's share; at 5e-4 skipping it doubles the failure count.
+  const auto noise = sim::NoiseParams::uniform_gate(5e-4);
+  const auto policy = policy_for(Level2Discipline::kBare);
+  Level2Recovery serial(noise, policy, /*seed=*/13);
+  BatchLevel2Recovery batch(noise, policy, /*shots=*/4096, /*seed=*/83);
+  expect_memory_cycles_agree(serial, batch, /*cycles=*/3, /*p=*/0.03);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 
 #include "codes/library.h"
 #include "common/errors.h"
+#include "fnv1a.h"
 #include "ft/batch_level2.h"
 #include "ft/batch_recovery.h"
 #include "ft/batch_shor.h"
@@ -163,6 +164,35 @@ TEST(BatchRecovery, HeraldedErasureFailureRateMatchesSerial) {
   const double se = std::sqrt(pf * (1 - pf) / shots + pb * (1 - pb) / shots);
   EXPECT_LT(std::fabs(pf - pb), 5.0 * se)
       << "frame " << pf << " vs batch " << pb;
+}
+
+// The herald-reinit path, pinned draw for draw: per-lane verdicts, data
+// frames, data heralds and the abort mask of one 4,096-lane block under
+// gate noise with heralded erasure, where ~a quarter of the ancilla
+// preparations herald and a few lanes exhaust their retry budget. The
+// constant was recorded while the reinit had its own retry loop, before it
+// moved onto BatchCatRetry.
+TEST(BatchRecovery, HeraldReinitMatchesRecordedFingerprint) {
+  BatchSteaneRecovery rec(sim::NoiseParams::with_erasure(6e-3, 0.01),
+                          RecoveryPolicy{}, /*shots=*/4096, /*seed=*/29);
+  rec.run_cycle();
+  Fnv1a hash;
+  for (size_t shot = 0; shot < rec.num_shots(); ++shot) {
+    hash.add(uint64_t{rec.logical_x_error(shot)} |
+             uint64_t{rec.logical_z_error(shot)} << 1);
+  }
+  const sim::BatchFrameSim& frames = rec.frames();
+  for (size_t w = 0; w < rec.num_words(); ++w) {
+    for (uint32_t q = 0; q < 7; ++q) {
+      hash.add(frames.x_flips(q)[w]);
+      hash.add(frames.z_flips(q)[w]);
+      hash.add(frames.herald_word(q)[w]);
+    }
+    hash.add(frames.abort_mask()[w]);
+  }
+  EXPECT_GT(rec.frames().num_kept(), 0u);
+  EXPECT_LT(rec.frames().num_kept(), rec.num_shots());
+  EXPECT_EQ(hash.value(), 0x84351cedc6375875ull);
 }
 
 // Exhausted herald-retry lanes surface through the abort-mask contract:

@@ -1,9 +1,10 @@
 // The universal-gate stack: [[15,1,3]] Reed-Muller structure, the
 // transversal-T rule cross-validated on a state vector, flag-qubit syndrome
 // extraction (decode tables, exhaustive single-fault tolerance on both the
-// Steane and Reed-Muller codes), and the batch-vs-serial FlagRecovery pin.
-// The statistical pin under noise lives in the UniversalBatchIntegration
-// suite (integration tier); everything else is unit-fast.
+// Steane and Reed-Muller codes), the batch-vs-serial FlagRecovery pin and
+// recorded fingerprints. The statistical pins under noise live in the
+// UniversalBatchIntegration suite (integration tier); everything else is
+// unit-fast.
 #include <cmath>
 #include <complex>
 #include <cstdint>
@@ -11,7 +12,9 @@
 
 #include "gtest/gtest.h"
 
+#include "batch_pins.h"
 #include "codes/library.h"
+#include "fnv1a.h"
 #include "ft/fault_enumeration.h"
 #include "ft/transversal.h"
 #include "sim/runner.h"
@@ -259,12 +262,64 @@ TEST(BatchFlagRecovery, NoiselessBitForBitPin) {
   }
 }
 
+// ---- Recorded fingerprints --------------------------------------------------
+
+// Per-shot verdicts, raised flags and data frames of consecutive serial
+// shots (one driver, reset between shots), at uniform gate noise and at
+// Z-biased gate noise with storage noise and heralded erasure. Recorded
+// before the flag circuits and tables were shared with the batch driver.
+sim::NoiseParams flag_fingerprint_noise(bool biased) {
+  if (!biased) return sim::NoiseParams::uniform_gate(8e-3);
+  auto noise = sim::NoiseParams::biased_gate(8e-3, /*eta=*/4.0,
+                                             /*eps_store=*/2e-3);
+  noise.p_erase = 4e-3;
+  return noise;
+}
+
+uint64_t serial_flag_fingerprint(const codes::StabilizerCode& code,
+                                 bool biased, size_t shots) {
+  universal::FlagRecovery rec(code, flag_fingerprint_noise(biased),
+                              ft::RecoveryPolicy{}, /*seed=*/19);
+  Fnv1a hash;
+  for (size_t s = 0; s < shots; ++s) {
+    rec.reset();
+    rec.run_cycle();
+    hash.add(rec.any_logical_error());
+    hash.add(rec.flags_raised());
+    for (uint32_t q = 0; q < code.n(); ++q) {
+      hash.add(uint64_t{rec.frame().x_frame().get(q)} |
+               uint64_t{rec.frame().z_frame().get(q)} << 1);
+    }
+  }
+  return hash.value();
+}
+
+TEST(FlagRecovery, SteaneShotsMatchRecordedFingerprint) {
+  const uint64_t expected[2] = {0x0368d9a9d8808a46ull,
+                                 0x87bc3a42299125c7ull};
+  for (const bool biased : {false, true}) {
+    EXPECT_EQ(serial_flag_fingerprint(codes::steane(), biased, 2000),
+              expected[biased])
+        << (biased ? "biased" : "uniform");
+  }
+}
+
+TEST(FlagRecovery, ReedMuller15ShotsMatchRecordedFingerprint) {
+  const uint64_t expected[2] = {0xb123103df8047c87ull,
+                                 0xd9e84222c23e6961ull};
+  for (const bool biased : {false, true}) {
+    EXPECT_EQ(serial_flag_fingerprint(codes::reed_muller15(), biased, 500),
+              expected[biased])
+        << (biased ? "biased" : "uniform");
+  }
+}
+
 // ---- Statistical pin under noise (integration tier) -------------------------
 
-TEST(UniversalBatchIntegration, BatchMatchesSerialWithinOneSigma) {
-  // Same noise, independent seed streams: the batch failure estimate must
-  // land within one combined binomial sigma of the serial one, and both
-  // paths must be alive (failures observed, flags actually firing).
+TEST(UniversalBatchIntegration, BatchMatchesSerialUnderZTest) {
+  // Same noise, independent seed streams: the failure counts must pass the
+  // pooled two-sample z-test at a 1e-6 false-failure rate, and both paths
+  // must be alive (failures observed, flags actually firing).
   const auto noise = sim::NoiseParams::uniform_gate(3e-3);
   const auto& code = codes::steane();
   const size_t shots = 8192;
@@ -282,16 +337,23 @@ TEST(UniversalBatchIntegration, BatchMatchesSerialWithinOneSigma) {
   batch.run_cycle();
   const uint64_t batch_fails = batch.count_any_logical_error(shots);
 
-  const double n = static_cast<double>(shots);
-  const double pf = static_cast<double>(serial_fails) / n;
-  const double pb = static_cast<double>(batch_fails) / n;
-  const double se = std::sqrt(pf * (1 - pf) / n + pb * (1 - pb) / n);
   EXPECT_GT(serial_fails, 0u);
   EXPECT_GT(batch_fails, 0u);
   EXPECT_GT(serial_flags, 0u);
   EXPECT_GT(batch.flags_raised(), 0u);
-  EXPECT_LE(std::fabs(pf - pb), se)
-      << "serial " << pf << " vs batch " << pb << " (se " << se << ")";
+  expect_counts_agree(serial_fails, batch_fails, shots);
+}
+
+TEST(UniversalBatchIntegration, MemoryCyclesMatchSerial) {
+  // Several cycles with memory noise in between, so the pin sees the
+  // correction (see expect_memory_cycles_agree).
+  const auto noise = sim::NoiseParams::uniform_gate(2e-3);
+  universal::FlagRecovery serial(codes::steane(), noise, ft::RecoveryPolicy{},
+                                 /*seed=*/15);
+  universal::BatchFlagRecovery batch(codes::steane(), noise,
+                                     ft::RecoveryPolicy{}, /*shots=*/8192,
+                                     /*seed=*/89);
+  expect_memory_cycles_agree(serial, batch, /*cycles=*/3, /*p=*/0.03);
 }
 
 }  // namespace
