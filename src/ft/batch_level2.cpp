@@ -273,15 +273,11 @@ void BatchLevel2Recovery::correct(bool phase_type, const uint64_t* rows24,
 
   for (size_t q = 0; q < kBlock; ++q) {
     const uint64_t* a = l1.data() + q * words_;
-    if (batch_any_lane(a, words_)) {
-      sim_.depolarize1(q, noise_.eps_gate1, a);
-    }
+    if (batch_any_lane(a, words_)) batch_on_gate1(sim_, noise_, q, a);
   }
   for (size_t q = 0; q < kBlock; ++q) {
     const uint64_t* b = l2.data() + q * words_;
-    if (batch_any_lane(b, words_)) {
-      sim_.depolarize1(q, noise_.eps_gate1, b);
-    }
+    if (batch_any_lane(b, words_)) batch_on_gate1(sim_, noise_, q, b);
   }
   std::vector<uint64_t> mask(words_);
   for (size_t q = 0; q < kBlock; ++q) {
@@ -290,7 +286,7 @@ void BatchLevel2Recovery::correct(bool phase_type, const uint64_t* rows24,
     // has & ~a & ~b, two register-wide passes.
     sim::simd::andnot(mask.data(), has.data(), a, words_);
     sim::simd::andnot(mask.data(), mask.data(), b, words_);
-    sim_.depolarize1(q, noise_.eps_store, mask.data());
+    batch_on_storage(sim_, noise_, q, mask.data());
   }
   for (size_t q = 0; q < kBlock; ++q) {
     const uint64_t* a = l1.data() + q * words_;

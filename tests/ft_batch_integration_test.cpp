@@ -102,6 +102,47 @@ TEST(BatchLevel2Pins, NoiselessPatternsMatchSerialExRecDataRecoveries) {
   expect_level2_matches_serial(policy, {{0, 'X'}, {8, 'X'}});
 }
 
+// Deterministic noise: every one-qubit gate (the preparations' Hadamards,
+// the fixes) takes a Z error with certainty and nothing else is noisy, so
+// every lane replays the serial shot exactly. The corrections' fault
+// opportunities must then go through the channel hooks, bias included, as
+// the serial fix gadget's do.
+TEST(BatchLevel2Pins, DeterministicZNoiseMatchesSerialLaneByLane) {
+  sim::NoiseParams z_noise;
+  z_noise.eps_gate1 = 1.0;
+  z_noise.bias_x = 0.0;
+  z_noise.bias_y = 0.0;
+  for (const auto discipline :
+       {Level2Discipline::kBare, Level2Discipline::kExRec}) {
+    for (const bool inject : {false, true}) {
+      const auto policy = policy_for(discipline);
+      Level2Recovery serial(z_noise, policy, /*seed=*/1);
+      BatchLevel2Recovery batch(z_noise, policy, /*shots=*/128, /*seed=*/77);
+      if (inject) {
+        serial.inject_data(10, 'X');
+        batch.inject_data(10, 'X');
+      }
+      serial.run_cycle();
+      batch.run_cycle();
+      size_t lanes_differing = 0;
+      for (size_t shot = 0; shot < batch.num_shots(); ++shot) {
+        bool differs = false;
+        for (uint32_t q = 0; q < BatchLevel2Recovery::kBlock; ++q) {
+          differs = differs ||
+                    batch.frames().x_flip(q, shot) !=
+                        serial.frame().x_frame().get(q) ||
+                    batch.frames().z_flip(q, shot) !=
+                        serial.frame().z_frame().get(q);
+        }
+        lanes_differing += differs ? 1 : 0;
+      }
+      EXPECT_EQ(lanes_differing, 0u)
+          << (discipline == Level2Discipline::kBare ? "bare" : "exRec")
+          << (inject ? " with X10" : "");
+    }
+  }
+}
+
 void expect_level2_statistics_match(Level2Discipline discipline, double eps,
                                     size_t shots, uint64_t serial_seed,
                                     uint64_t batch_seed) {
