@@ -6,7 +6,6 @@
 #include "common/check.h"
 #include "common/errors.h"
 #include "ft/concatenated_recovery.h"
-#include "ft/steane_circuits.h"
 #include "ft/steane_recovery.h"
 #include "sim/simd.h"
 
@@ -43,12 +42,7 @@ void BatchLevel2Recovery::reset() { sim_.clear(); }
 
 void BatchLevel2Recovery::inject_data(uint32_t q, char pauli) {
   FTQC_CHECK(q < kBlock, "data qubit index out of range");
-  switch (pauli) {
-    case 'X': sim_.inject_x(q); break;
-    case 'Y': sim_.inject_y(q); break;
-    case 'Z': sim_.inject_z(q); break;
-    default: FTQC_CHECK(false, "inject_data expects X, Y or Z");
-  }
+  inject_pauli(sim_, q, pauli);
 }
 
 void BatchLevel2Recovery::apply_memory_noise(double p) {
@@ -71,30 +65,10 @@ void BatchLevel2Recovery::hierarchical_decode(const uint64_t* const rows[49],
 
 void BatchLevel2Recovery::run_subblock_recoveries(uint32_t base,
                                                   const uint64_t* lane_mask) {
-  static constexpr std::array<uint32_t, 7> kScrA = {147, 148, 149, 150,
-                                                    151, 152, 153};
-  static constexpr std::array<uint32_t, 7> kScrB = {154, 155, 156, 157,
-                                                    158, 159, 160};
-  struct SubblockCycle {
-    SteaneCycleLayout layout;
-    SteaneCycleCircuits circuits;
-  };
-  // Compiled exactly once (thread-safe static init; read-only afterwards):
-  // the batch engine amortizes one compile over every block of every sweep.
-  static const std::array<std::array<SubblockCycle, 7>, 2> kCycles = [] {
-    std::array<std::array<SubblockCycle, 7>, 2> cycles;
-    for (const uint32_t b : {kData, kAncA}) {
-      for (size_t sub = 0; sub < 7; ++sub) {
-        SubblockCycle& cy = cycles[b == kData ? 0 : 1][sub];
-        cy.layout = SteaneCycleLayout{level2_subblock(b, sub), kScrA, kScrB};
-        cy.circuits = compile_steane_cycle(cy.layout);
-      }
-    }
-    return cycles;
-  }();
   FTQC_CHECK(base == kData || base == kAncA,
              "subblock recoveries run on the data block or ancilla A");
-  for (const SubblockCycle& cy : kCycles[base == kData ? 0 : 1]) {
+  for (const Level2Circuits::SubblockCycle& cy :
+       level2_circuits().subblock_cycles[base == kData ? 0 : 1]) {
     run_batch_steane_cycle(sim_, noise_, policy_, hamming_, cy.layout,
                            cy.circuits, lane_mask);
   }
@@ -102,11 +76,8 @@ void BatchLevel2Recovery::run_subblock_recoveries(uint32_t base,
 
 void BatchLevel2Recovery::prepare_verified_zero_ancilla(
     const uint64_t* lane_mask) {
-  // Compiled once: identical for every instance (the Hamming code is
-  // stateless); the serial driver replays the very same circuits.
-  static const sim::Circuit kPrepA = level2_zero_prep(gf2::Hamming743{}, kAncA);
-  static const sim::Circuit kPrepB = level2_zero_prep(gf2::Hamming743{}, kAncB);
-  gadgets_.run(kPrepA, data_and_a_, lane_mask);
+  const Level2Circuits& circuits = level2_circuits();
+  gadgets_.run(circuits.prep_a, data_and_a_, lane_mask);
   if (policy_.level2_discipline == Level2Discipline::kExRec) {
     // Extended rectangle: scrub every ancilla subblock with a nested
     // level-1 recovery before the §3.3 verification; the current lane mask
@@ -116,21 +87,13 @@ void BatchLevel2Recovery::prepare_verified_zero_ancilla(
   }
   if (!policy_.verify_ancilla || policy_.verification_rounds <= 0) return;
 
-  static const sim::Circuit kVerifyCnots = [] {
-    sim::Circuit cnots;
-    for (uint32_t i = 0; i < kBlock; ++i) cnots.cx(kAncA + i, kAncB + i);
-    cnots.tick();
-    for (uint32_t i = 0; i < kBlock; ++i) cnots.m(kAncB + i);
-    cnots.tick();
-    return cnots;
-  }();
   // A lane is fixed only when EVERY round votes "logically flipped" (the
   // serial votes_one == rounds).
   std::vector<uint64_t> votes(words_, ~uint64_t{0});
   std::vector<uint64_t> logicals(7 * words_), vote(words_);
   for (int round = 0; round < policy_.verification_rounds; ++round) {
-    gadgets_.run(kPrepB, all_, lane_mask);
-    const auto rows = gadgets_.run(kVerifyCnots, all_, lane_mask);
+    gadgets_.run(circuits.prep_b, all_, lane_mask);
+    const auto rows = gadgets_.run(circuits.verify, all_, lane_mask);
     FTQC_CHECK(rows.size() == kBlock, "verification must read 49 qubits");
     const uint64_t* flip_rows[49];
     for (size_t i = 0; i < kBlock; ++i) {
@@ -173,27 +136,8 @@ void BatchLevel2Recovery::extract_syndrome(bool phase_type,
                                            uint64_t* rows24) {
   prepare_verified_zero_ancilla(lane_mask);
 
-  static const std::array<sim::Circuit, 2> kExtract = [] {
-    std::array<sim::Circuit, 2> gadgets;
-    for (const bool phase : {false, true}) {
-      sim::Circuit& gadget = gadgets[phase];
-      if (phase) {
-        for (uint32_t i = 0; i < kBlock; ++i) gadget.cx(kAncA + i, kData + i);
-        gadget.tick();
-        for (uint32_t i = 0; i < kBlock; ++i) gadget.mx(kAncA + i);
-        gadget.tick();
-      } else {
-        for (uint32_t i = 0; i < kBlock; ++i) gadget.h(kAncA + i);
-        gadget.tick();
-        for (uint32_t i = 0; i < kBlock; ++i) gadget.cx(kData + i, kAncA + i);
-        gadget.tick();
-        for (uint32_t i = 0; i < kBlock; ++i) gadget.m(kAncA + i);
-        gadget.tick();
-      }
-    }
-    return gadgets;
-  }();
-  const auto rows = gadgets_.run(kExtract[phase_type], data_and_a_, lane_mask);
+  const auto rows = gadgets_.run(level2_circuits().extract[phase_type],
+                                 data_and_a_, lane_mask);
   FTQC_CHECK(rows.size() == kBlock, "extraction must read 49 qubits");
   for (uint32_t i = 0; i < kBlock; ++i) sim_.reset(kAncA + i);
 

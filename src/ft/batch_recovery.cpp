@@ -110,6 +110,44 @@ void batch_decode_positions(const uint64_t* syndrome_rows,
   }
 }
 
+void batch_add_fix(const pauli::PauliString& correction, const uint64_t* lanes,
+                   uint64_t* fix_x, uint64_t* fix_z, size_t words) {
+  for (size_t q = 0; q < correction.num_qubits(); ++q) {
+    if (correction.x_bit(q)) {
+      sim::simd::or_into(fix_x + q * words, lanes, words);
+    }
+    if (correction.z_bit(q)) {
+      sim::simd::or_into(fix_z + q * words, lanes, words);
+    }
+  }
+}
+
+void batch_apply_fix(sim::BatchFrameSim& sim, const sim::NoiseParams& noise,
+                     std::span<const uint32_t> data, const uint64_t* fix_x,
+                     const uint64_t* fix_z, const uint64_t* act) {
+  FTQC_CHECK(fix_x != nullptr || fix_z != nullptr, "a fix needs a side");
+  const size_t words = sim.num_words();
+  if (!batch_any_lane(act, words)) return;
+  std::vector<uint64_t> fixed(words), resting(words);
+  // The lanes that fix data[q], either side.
+  const auto lanes_fixing = [&](size_t q) -> const uint64_t* {
+    if (fix_z == nullptr) return fix_x + q * words;
+    if (fix_x == nullptr) return fix_z + q * words;
+    std::copy_n(fix_x + q * words, words, fixed.data());
+    sim::simd::or_into(fixed.data(), fix_z + q * words, words);
+    return fixed.data();
+  };
+  for (size_t q = 0; q < data.size(); ++q) {
+    batch_on_gate1(sim, noise, data[q], lanes_fixing(q));
+    if (fix_x != nullptr) sim.inject_x_masked(data[q], fix_x + q * words);
+    if (fix_z != nullptr) sim.inject_z_masked(data[q], fix_z + q * words);
+  }
+  for (size_t q = 0; q < data.size(); ++q) {
+    sim::simd::andnot(resting.data(), act, lanes_fixing(q), words);
+    batch_on_storage(sim, noise, data[q], resting.data());
+  }
+}
+
 void batch_correct_data_block(sim::BatchFrameSim& sim,
                               const sim::NoiseParams& noise, bool phase_type,
                               std::span<const uint32_t> data,
@@ -120,27 +158,64 @@ void batch_correct_data_block(sim::BatchFrameSim& sim,
   if (!batch_any_lane(act_mask, words)) return;
   std::vector<uint64_t> pos_masks(7 * words);
   batch_decode_positions(syndrome_rows, act_mask, pos_masks.data(), words);
+  batch_apply_fix(sim, noise, data, phase_type ? nullptr : pos_masks.data(),
+                  phase_type ? pos_masks.data() : nullptr, act_mask);
+}
 
-  // The serial correction is a one-gate circuit over the data block: gate
-  // noise lands on the corrected qubit, storage noise on the other six, and
-  // only for the lanes that actually correct (§3.4 lanes that deferred take
-  // no fault opportunity at all).
-  for (size_t p = 0; p < 7; ++p) {
-    batch_on_gate1(sim, noise, data[p], pos_masks.data() + p * words);
-  }
-  std::vector<uint64_t> storage_mask(words);
-  for (size_t q = 0; q < 7; ++q) {
-    const uint64_t* pos = pos_masks.data() + q * words;
-    sim::simd::andnot(storage_mask.data(), act_mask, pos, words);
-    batch_on_storage(sim, noise, data[q], storage_mask.data());
-  }
-  for (size_t p = 0; p < 7; ++p) {
-    const uint64_t* pos = pos_masks.data() + p * words;
-    if (phase_type) {
-      sim.inject_z_masked(data[p], pos);
-    } else {
-      sim.inject_x_masked(data[p], pos);
+void batch_logical_errors(const sim::BatchFrameSim& sim,
+                          const codes::LookupDecoder& decoder,
+                          std::span<const uint64_t> groups, uint64_t* out) {
+  const codes::StabilizerCode& code = decoder.code();
+  const size_t words = sim.num_words();
+  // Lanes whose residual frame anticommutes with `p`.
+  const auto anticommuting_lanes = [&](const pauli::PauliString& p,
+                                       uint64_t* lanes) {
+    std::fill_n(lanes, words, 0);
+    for (uint32_t q = 0; q < code.n(); ++q) {
+      if (p.x_bit(q)) sim::simd::xor_into(lanes, sim.z_flips(q), words);
+      if (p.z_bit(q)) sim::simd::xor_into(lanes, sim.x_flips(q), words);
     }
+  };
+  // Logical-parity words: the lanes whose residual anticommutes with each
+  // logical operator (an X flip of logical qubit i anticommutes with Z_i,
+  // a Z flip with X_i).
+  std::vector<const pauli::PauliString*> logicals;
+  for (size_t i = 0; i < code.k(); ++i) {
+    logicals.push_back(&code.logical_z(i));
+    logicals.push_back(&code.logical_x(i));
+  }
+  std::vector<uint64_t> parity(logicals.size() * words);
+  for (size_t l = 0; l < logicals.size(); ++l) {
+    anticommuting_lanes(*logicals[l], &parity[l * words]);
+  }
+  // Each group's syndrome words, decoded once per distinct value: where the
+  // decoded correction anticommutes with a logical operator, it flips the
+  // parity of the lanes that read that value.
+  std::vector<uint64_t> rows, nontrivial(words);
+  for (const uint64_t group : groups) {
+    const auto num_rows = static_cast<size_t>(__builtin_popcountll(group));
+    rows.assign(num_rows * words, 0);
+    size_t row = 0;
+    for (uint64_t rest = group; rest != 0; rest &= rest - 1, ++row) {
+      anticommuting_lanes(code.generators()[__builtin_ctzll(rest)],
+                          &rows[row * words]);
+    }
+    batch_nontrivial_mask(rows.data(), num_rows, /*active=*/nullptr,
+                          nontrivial.data(), words);
+    for_each_syndrome_value(
+        group, rows.data(), nontrivial.data(), words,
+        [&](uint64_t value, const uint64_t* lanes) {
+          const pauli::PauliString correction = decoder.decode(value);
+          for (size_t l = 0; l < logicals.size(); ++l) {
+            if (!correction.commutes_with(*logicals[l])) {
+              sim::simd::xor_into(&parity[l * words], lanes, words);
+            }
+          }
+        });
+  }
+  std::fill_n(out, words, 0);
+  for (size_t l = 0; l < logicals.size(); ++l) {
+    sim::simd::or_into(out, &parity[l * words], words);
   }
 }
 
@@ -244,6 +319,101 @@ std::vector<size_t> BatchGadgetRunner::run(
   return rows;
 }
 
+BatchCatRetry::BatchCatRetry(sim::BatchFrameSim& sim) : sim_(sim) {}
+
+uint64_t BatchCatRetry::prepare(BatchGadgetRunner& gadgets,
+                                const sim::Circuit& prep,
+                                std::span<const uint32_t> cat,
+                                std::span<const uint32_t> active_qubits,
+                                const RecoveryPolicy& policy,
+                                const uint64_t* active) {
+  return run(gadgets, prep, cat, active_qubits, policy.max_cat_attempts,
+             policy.verify_ancilla,
+             policy.herald_reinit && gadgets.noise().p_erase > 0, active);
+}
+
+uint64_t BatchCatRetry::run(BatchGadgetRunner& gadgets,
+                            const sim::Circuit& prep,
+                            std::span<const uint32_t> block,
+                            std::span<const uint32_t> active_qubits,
+                            int attempts, bool check, bool herald,
+                            const uint64_t* active) {
+  const size_t words = sim_.num_words();
+  need_.assign(words, ~uint64_t{0});
+  if (active != nullptr) std::copy_n(active, words, need_.begin());
+  passed_any_.assign(words, 0);
+  failed_.assign(words, 0);
+  parked_.assign(2 * block.size() * words, 0);
+  uint64_t failures = 0;
+
+  for (int attempt = 0; attempt < attempts; ++attempt) {
+    if (!batch_any_lane(need_.data(), words)) break;
+    // The prep's leading R gates reset the block on EVERY lane, which is
+    // exactly what makes whole-word replay safe: passed lanes are parked,
+    // inactive lanes are scrubbed clean so the unitaries act trivially.
+    const auto rows = gadgets.run(prep, active_qubits, need_.data());
+    if (!check && !herald) {
+      // Nothing to judge: the first attempt always passes; frames are
+      // already in place, so no parking round-trip is needed.
+      need_.assign(words, 0);
+      break;
+    }
+    // Reference check outcome is 0 (the cat bits agree); a flip means the
+    // verification failed and the cat is discarded (§3.3). A heralded
+    // erasure in the block is a failure the check bit cannot see — the
+    // qubit is maximally mixed — so the herald joins the discard decision.
+    if (check) {
+      FTQC_CHECK(rows.size() == 1,
+                 "a checked prep must measure exactly the check qubit");
+      std::copy_n(sim_.record().row(rows[0]), words, failed_.begin());
+    } else {
+      std::fill_n(failed_.begin(), words, 0);
+    }
+    if (herald) {
+      for (uint32_t q : block) {
+        sim::simd::or_into(failed_.data(), sim_.herald_word(q), words);
+      }
+    }
+    sim::simd::and_into(failed_.data(), need_.data(), words);
+    failures += batch_count_lanes(failed_.data(), words, sim_.num_shots());
+    // passed_now = need & ~failed, register-wide; scratch_ holds it until
+    // the parking blends below are done.
+    scratch_.resize(words);
+    sim::simd::andnot(scratch_.data(), need_.data(), failed_.data(), words);
+    std::copy_n(failed_.begin(), words, need_.begin());
+    sim::simd::or_into(passed_any_.data(), scratch_.data(), words);
+    if (batch_any_lane(scratch_.data(), words)) {
+      // Park the just-passed lanes' block frames: later attempts will
+      // clobber the sim's copies.
+      for (size_t c = 0; c < block.size(); ++c) {
+        sim::simd::blend_into(&parked_[2 * c * words], sim_.x_flips(block[c]),
+                              scratch_.data(), words);
+        sim::simd::blend_into(&parked_[(2 * c + 1) * words],
+                              sim_.z_flips(block[c]), scratch_.data(), words);
+      }
+    }
+  }
+  if (batch_any_lane(need_.data(), words)) {
+    // Retry budget exhausted: the serial path uses the last preparation;
+    // these lanes keep their last-attempt frames AND are surfaced in the
+    // abort mask so downstream consumers can postselect them out.
+    sim_.discard_lanes(need_.data());
+  }
+  // Restore the parked frames: XOR-inject the difference between what the
+  // last attempt left behind and what each passed lane actually prepared.
+  scratch_.assign(words, 0);
+  for (size_t c = 0; c < block.size(); ++c) {
+    sim::simd::xor_and(scratch_.data(), sim_.x_flips(block[c]),
+                       &parked_[2 * c * words], passed_any_.data(), words);
+    sim_.inject_x_masked(block[c], scratch_.data());
+    sim::simd::xor_and(scratch_.data(), sim_.z_flips(block[c]),
+                       &parked_[(2 * c + 1) * words], passed_any_.data(),
+                       words);
+    sim_.inject_z_masked(block[c], scratch_.data());
+  }
+  return failures;
+}
+
 namespace {
 
 // The Fig. 9 cycle on an arbitrary layout, all lanes at once — the batch
@@ -263,6 +433,7 @@ class BatchSteaneCycleRunner {
                          const SteaneCycleCircuits& circuits)
       : sim_(sim),
         gadgets_(sim, noise),
+        retry_(sim),
         noise_(noise),
         policy_(policy),
         hamming_(hamming),
@@ -294,10 +465,18 @@ class BatchSteaneCycleRunner {
 
  private:
   void prepare_verified_zero_ancilla(const uint64_t* lane_mask) {
-    // Fresh |0>_code on the syndrome ancilla.
-    gadgets_.run(circuits_.zero_prep_a, data_and_a_, lane_mask);
+    // Fresh |0>_code on the syndrome ancilla. Herald-triggered reinit runs
+    // the shared retry loop: lanes whose ancilla carries any heralded
+    // erasure replay zero_prep_a until clean or the retry budget runs out.
+    // Budget-exhausted lanes keep their last (heralded) block — the serial
+    // path lets verification judge it — and are surfaced through the
+    // abort-mask contract.
     if (policy_.herald_reinit && noise_.p_erase > 0) {
-      herald_reinit_ancilla(lane_mask);
+      retry_.run(gadgets_, circuits_.zero_prep_a, layout_.anc_a, data_and_a_,
+                 1 + policy_.max_herald_retries, /*check=*/false,
+                 /*herald=*/true, lane_mask);
+    } else {
+      gadgets_.run(circuits_.zero_prep_a, data_and_a_, lane_mask);
     }
     if (!policy_.verify_ancilla || policy_.verification_rounds <= 0) return;
 
@@ -341,78 +520,6 @@ class BatchSteaneCycleRunner {
     }
   }
 
-  // Herald-triggered reinit (batch form of the serial retry loop): lanes
-  // whose syndrome ancilla carries any heralded erasure replay zero_prep_a
-  // until clean or the retry budget runs out. The replay's R resets act on
-  // EVERY lane, so the non-retrying lanes' ancilla frames are parked in a
-  // side buffer and XOR-restored afterwards, exactly the BatchCatRetry
-  // scatter/compact. Budget-exhausted lanes keep their last (heralded)
-  // block — the serial path lets verification judge it — and are surfaced
-  // through the abort-mask contract.
-  void herald_reinit_ancilla(const uint64_t* lane_mask) {
-    std::vector<uint64_t> need(words_, 0);
-    const auto gather_heralds = [&](uint64_t* out) {
-      std::fill_n(out, words_, 0);
-      for (uint32_t q : layout_.anc_a) {
-        sim::simd::or_into(out, sim_.herald_word(q), words_);
-      }
-    };
-    gather_heralds(need.data());
-    if (lane_mask != nullptr) {
-      sim::simd::and_into(need.data(), lane_mask, words_);
-    }
-    if (!batch_any_lane(need.data(), words_)) return;
-
-    // Park every lane that is NOT retrying. Inactive lanes ride along with
-    // clean frames, so their round-trip is a no-op.
-    std::vector<uint64_t> keep(words_);
-    for (size_t w = 0; w < words_; ++w) keep[w] = ~need[w];
-    std::vector<uint64_t> parked(2 * 7 * words_, 0);
-    std::vector<uint64_t> passed_any(words_, 0), fresh(words_),
-        heralded(words_);
-    const auto park = [&](const uint64_t* mask) {
-      for (size_t i = 0; i < 7; ++i) {
-        const uint32_t q = layout_.anc_a[i];
-        sim::simd::blend_into(&parked[2 * i * words_], sim_.x_flips(q), mask,
-                              words_);
-        sim::simd::blend_into(&parked[(2 * i + 1) * words_], sim_.z_flips(q),
-                              mask, words_);
-      }
-      sim::simd::or_into(passed_any.data(), mask, words_);
-    };
-    park(keep.data());
-
-    for (int retry = 0; retry < policy_.max_herald_retries; ++retry) {
-      if (!batch_any_lane(need.data(), words_)) break;
-      // zero_prep_a opens with R resets, which clear both the frames and
-      // the heralds of the retrying block — each replay is a genuine fresh
-      // preparation (noise masked to the retrying lanes).
-      gadgets_.run(circuits_.zero_prep_a, data_and_a_, need.data());
-      gather_heralds(heralded.data());
-      sim::simd::andnot(fresh.data(), need.data(), heralded.data(), words_);
-      if (batch_any_lane(fresh.data(), words_)) park(fresh.data());
-      sim::simd::and_into(need.data(), heralded.data(), words_);
-    }
-    if (batch_any_lane(need.data(), words_)) {
-      // Exhausted lanes keep their last-attempt (still-heralded) frames and
-      // are surfaced in the abort mask; they were never parked, so the
-      // restore below (masked to passed_any) leaves them untouched.
-      sim_.discard_lanes(need.data());
-    }
-    // Restore the parked frames: XOR-inject the difference between what the
-    // last replay left behind and what each parked lane actually holds.
-    for (size_t i = 0; i < 7; ++i) {
-      const uint32_t q = layout_.anc_a[i];
-      sim::simd::xor_and(fresh.data(), sim_.x_flips(q),
-                         &parked[2 * i * words_], passed_any.data(), words_);
-      sim_.inject_x_masked(q, fresh.data());
-      sim::simd::xor_and(fresh.data(), sim_.z_flips(q),
-                         &parked[(2 * i + 1) * words_], passed_any.data(),
-                         words_);
-      sim_.inject_z_masked(q, fresh.data());
-    }
-  }
-
   // Writes 3 syndrome rows (3 * words words) into `syndrome_rows`.
   void extract_syndrome(bool phase_type, const uint64_t* lane_mask,
                         uint64_t* syndrome_rows) {
@@ -435,6 +542,7 @@ class BatchSteaneCycleRunner {
 
   sim::BatchFrameSim& sim_;
   BatchGadgetRunner gadgets_;
+  BatchCatRetry retry_;
   const sim::NoiseParams& noise_;
   const RecoveryPolicy& policy_;
   const gf2::Hamming743& hamming_;
@@ -475,12 +583,7 @@ void BatchSteaneRecovery::reset() { sim_.clear(); }
 
 void BatchSteaneRecovery::inject_data(uint32_t q, char pauli) {
   FTQC_CHECK(q < 7, "data qubit index out of range");
-  switch (pauli) {
-    case 'X': sim_.inject_x(q); break;
-    case 'Y': sim_.inject_y(q); break;
-    case 'Z': sim_.inject_z(q); break;
-    default: FTQC_CHECK(false, "inject_data expects X, Y or Z");
-  }
+  inject_pauli(sim_, q, pauli);
 }
 
 void BatchSteaneRecovery::apply_memory_noise(double p) {

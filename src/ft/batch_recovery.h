@@ -1,24 +1,30 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "codes/lookup_decoder.h"
 #include "ft/recovery.h"
 #include "ft/steane_recovery.h"
 #include "gf2/hamming.h"
 #include "sim/batch_frame_sim.h"
 #include "sim/noise_model.h"
+#include "sim/simd.h"
 
 namespace ftqc::ft {
 
 // --- Shared bit-parallel building blocks ------------------------------------
 //
 // Every batched recovery driver (level-1 Steane, the level-2 exRec cycle,
-// the Shor/generic cat-retry paths) replays the same ideal gadget circuits
-// on a BatchFrameSim with the §6 noise hooks masked to the lanes that
-// "really" execute the gadget. These helpers are the common substrate, so
-// the drivers cannot drift apart on noise accounting or decode conventions.
+// the cat-state and flag paths) replays the same ideal gadget circuits on a
+// BatchFrameSim with the §6 noise hooks masked to the lanes that "really"
+// execute the gadget. These helpers are the common substrate — one copy of
+// each lane-mask mechanism (retry a preparation on the lanes that failed
+// it, group lanes by syndrome value, apply a masked Pauli fix with its
+// noise, judge the residual) — so the drivers cannot drift apart on noise
+// accounting or decode conventions.
 
 // True if any lane bit is set in `mask` (words words).
 [[nodiscard]] inline bool batch_any_lane(const uint64_t* mask, size_t words) {
@@ -119,15 +125,74 @@ void batch_decode_positions(const uint64_t* syndrome_rows,
                             const uint64_t* act_mask, uint64_t* pos_masks,
                             size_t words);
 
-// The serial one-Pauli data-block correction, bit-sliced: gate noise on the
-// corrected qubit, storage noise on the other six, and only for the lanes
-// of `act_mask` that actually correct (§3.4 lanes that deferred take no
-// fault opportunity at all). `syndrome_rows` is 3*words words.
+// Calls visit(value, lanes) once per distinct syndrome value read by the
+// lanes of `mask`: row i of `rows` holds the bit of the i-th generator of
+// `group` (a generator bitmask), and `value` packs it at that generator's
+// index. Each value's lanes are peeled off with word ops, so the cost grows
+// with the number of distinct values, not with the number of lanes.
+template <typename Visit>
+void for_each_syndrome_value(uint64_t group, const uint64_t* rows,
+                             const uint64_t* mask, size_t words,
+                             Visit&& visit) {
+  std::vector<uint64_t> rest(mask, mask + words), lanes(words);
+  for (size_t w = 0; w < words; ++w) {
+    while (rest[w] != 0) {
+      // The value the first remaining lane reads, and every lane reading it.
+      const int lane = __builtin_ctzll(rest[w]);
+      std::copy(rest.begin(), rest.end(), lanes.begin());
+      uint64_t value = 0;
+      const uint64_t* bits = rows;
+      for (uint64_t left = group; left != 0; left &= left - 1, bits += words) {
+        if ((bits[w] >> lane) & 1u) {
+          value |= uint64_t{1} << __builtin_ctzll(left);
+          sim::simd::and_into(lanes.data(), bits, words);
+        } else {
+          sim::simd::andnot(lanes.data(), lanes.data(), bits, words);
+        }
+      }
+      visit(value, lanes.data());
+      sim::simd::andnot(rest.data(), rest.data(), lanes.data(), words);
+    }
+  }
+}
+
+// ORs `lanes` into the fix rows of every qubit where `correction` acts:
+// row q of fix_x (fix_z) holds the lanes taking an X (Z) on data qubit q.
+void batch_add_fix(const pauli::PauliString& correction, const uint64_t* lanes,
+                   uint64_t* fix_x, uint64_t* fix_z, size_t words);
+
+// The serial data-block fix, bit-sliced — a one-layer Pauli circuit over
+// the data block. On each data[q] in order: gate noise for the lanes that
+// fix it, then the fix itself (X on the lanes of row q of fix_x, Z on those
+// of fix_z; one side, not both, may be nullptr to fix nothing there — the
+// noiseless reference never corrects). Then storage noise on the lanes of `act` that leave
+// data[q] alone. Lanes outside `act` take no fault opportunity at all
+// (§3.4 lanes that deferred, and lanes whose correction is the identity).
+// Every data qubit gets its gate-noise call, even with no lane fixing it.
+void batch_apply_fix(sim::BatchFrameSim& sim, const sim::NoiseParams& noise,
+                     std::span<const uint32_t> data, const uint64_t* fix_x,
+                     const uint64_t* fix_z, const uint64_t* act);
+
+// The one-Pauli Hamming correction of a Steane block through
+// batch_apply_fix: the lanes of `act_mask` whose 3-row syndrome
+// (`syndrome_rows`, 3*words words) points at a position take an X
+// (phase_type false) or a Z there.
 void batch_correct_data_block(sim::BatchFrameSim& sim,
                               const sim::NoiseParams& noise, bool phase_type,
                               std::span<const uint32_t> data,
                               const uint64_t* syndrome_rows,
                               const uint64_t* act_mask);
+
+// Word-level logical verdict on a data block at qubits [0, n): writes into
+// `out` (sim.num_words() words) the lanes whose residual frame is a logical
+// error once each group's part of its syndrome is decoded and corrected.
+// With one all-generator group this is LookupDecoder::residual_effect(r)
+// .any() per lane; with a CSS code's two groups it is
+// CatExtraction::logical_error. Syndrome and logical-parity words come from
+// the frames, and each distinct syndrome value decodes once.
+void batch_logical_errors(const sim::BatchFrameSim& sim,
+                          const codes::LookupDecoder& decoder,
+                          std::span<const uint64_t> groups, uint64_t* out);
 
 // Executes an ideal gadget on all lanes of `sim`, applying the §6 noise
 // hooks of ft::run_gadget (gate/prep/meas/storage) as per-lane random masks
@@ -158,6 +223,54 @@ class BatchGadgetRunner {
   sim::BatchFrameSim& sim_;
   sim::NoiseParams noise_;
   std::vector<bool> touched_;  // per-layer storage-accounting scratch
+};
+
+// The batched retry loop of an ancilla preparation — the §3.3 cat discard
+// and the herald-triggered reinit of the Steane ancilla alike. Attempt k
+// re-runs ONLY the lanes that failed attempts 0..k-1: later attempts replay
+// the gadget's unitaries over the whole word (the prep's R resets make that
+// safe for lanes with clean frames), so lanes that already passed park
+// their block's frames in a side buffer while the stragglers retry and are
+// restored afterwards — a scatter/compact over the handful of ancilla
+// qubits instead of the whole register.
+//
+// Retry-cap semantics: the serial paths silently use the last preparation
+// when the budget runs out. The batch path keeps those lanes' last-attempt
+// frames (same statistics) but ALSO surfaces them in the sim's abort mask
+// via discard_lanes, so a forced-failure pathology (e.g. a deliberately
+// broken verification) cannot masquerade as a verified ancilla; at this
+// library's noise scales the cap is unreachable and the mask stays empty.
+class BatchCatRetry {
+ public:
+  explicit BatchCatRetry(sim::BatchFrameSim& sim);
+
+  // The §3.3 cat loop. `prep` must measure exactly one qubit (the cat
+  // check); `cat` names the qubits whose frames carry the prepared state
+  // past the retry loop. `active` (nullptr = all) restricts the whole loop
+  // to the lanes whose shot is executing this preparation. A lane fails an
+  // attempt when the check bit flips (policy.verify_ancilla) OR any cat
+  // qubit carries a heralded erasure (policy.herald_reinit, p_erase > 0) —
+  // mirroring the serial discard decision bit for bit. Returns the number
+  // of discarded cats summed over lanes (the serial cats_discarded counter).
+  uint64_t prepare(BatchGadgetRunner& gadgets, const sim::Circuit& prep,
+                   std::span<const uint32_t> cat,
+                   std::span<const uint32_t> active_qubits,
+                   const RecoveryPolicy& policy, const uint64_t* active);
+
+  // The loop itself: at most `attempts` replays of `prep`. A lane fails an
+  // attempt when `check` is set and the prep's one measurement flips, or
+  // when `herald` is set and any qubit of `block` carries a herald; with
+  // neither, the first attempt passes. Returns the failed attempts summed
+  // over lanes.
+  uint64_t run(BatchGadgetRunner& gadgets, const sim::Circuit& prep,
+               std::span<const uint32_t> block,
+               std::span<const uint32_t> active_qubits, int attempts,
+               bool check, bool herald, const uint64_t* active);
+
+ private:
+  sim::BatchFrameSim& sim_;
+  std::vector<uint64_t> need_, passed_any_, failed_, scratch_;
+  std::vector<uint64_t> parked_;  // [block qubit][x|z][word]
 };
 
 // --- The Fig. 9 cycle, bit-parallel -----------------------------------------

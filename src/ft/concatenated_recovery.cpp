@@ -8,14 +8,6 @@
 
 namespace ftqc::ft {
 
-namespace {
-
-constexpr uint32_t kData = 0;
-constexpr uint32_t kAncA = 49;
-constexpr uint32_t kAncB = 98;
-
-}  // namespace
-
 std::array<uint32_t, 7> level2_subblock(uint32_t base, size_t sub) {
   std::array<uint32_t, 7> q{};
   for (uint32_t i = 0; i < 7; ++i) {
@@ -24,42 +16,14 @@ std::array<uint32_t, 7> level2_subblock(uint32_t base, size_t sub) {
   return q;
 }
 
-Level2Recovery::Level2Recovery(const sim::NoiseParams& noise,
-                               RecoveryPolicy policy, uint64_t seed)
-    : frame_(kNumQubits, seed),
-      noise_(noise),
-      policy_(policy),
-      stochastic_(noise),
-      injector_(&stochastic_) {
-  for (uint32_t q = 0; q < kAncB; ++q) data_and_a_.push_back(q);
-  // The scratch ancillas [kScratchA, kNumQubits) are alive only inside the
-  // interleaved level-1 cycles, which do their own storage accounting; the
-  // level-2 active set stays the three 49-qubit blocks.
-  for (uint32_t q = 0; q < kAncB + kBlock; ++q) all_.push_back(q);
-}
+namespace {
 
-void Level2Recovery::reset() { frame_.clear(); }
+constexpr uint32_t kData = 0;
+constexpr uint32_t kAncA = 49;
+constexpr uint32_t kAncB = 98;
 
-void Level2Recovery::set_injector(NoiseInjector* injector) {
-  injector_ = injector != nullptr ? injector : &stochastic_;
-}
-
-void Level2Recovery::inject_data(uint32_t q, char pauli) {
-  FTQC_CHECK(q < kBlock, "data qubit index out of range");
-  switch (pauli) {
-    case 'X': frame_.inject_x(q); break;
-    case 'Y': frame_.inject_y(q); break;
-    case 'Z': frame_.inject_z(q); break;
-    default: FTQC_CHECK(false, "inject_data expects X, Y or Z");
-  }
-}
-
-void Level2Recovery::apply_memory_noise(double p) {
-  for (uint32_t q = 0; q < kBlock; ++q) frame_.depolarize1(q, p);
-}
-
-sim::Circuit level2_zero_prep(const gf2::Hamming743& hamming,
-                              uint32_t base) {
+// The level-2 |0>_code preparation on the 49-qubit block at `base`.
+sim::Circuit level2_zero_prep(const gf2::Hamming743& hamming, uint32_t base) {
   sim::Circuit c;
   // Seven level-1 |0>_code preparations (built on local qubits 0..6 and
   // remapped onto the subblock).
@@ -113,6 +77,77 @@ sim::Circuit level2_zero_prep(const gf2::Hamming743& hamming,
   return c;
 }
 
+}  // namespace
+
+const Level2Circuits& level2_circuits() {
+  static const Level2Circuits kCircuits = [] {
+    constexpr uint32_t kBlock = Level2Recovery::kBlock;
+    const auto scratch_a = level2_subblock(Level2Recovery::kScratchA, 0);
+    const auto scratch_b = level2_subblock(Level2Recovery::kScratchB, 0);
+    Level2Circuits c;
+    c.prep_a = level2_zero_prep(gf2::Hamming743{}, kAncA);
+    c.prep_b = level2_zero_prep(gf2::Hamming743{}, kAncB);
+    for (uint32_t i = 0; i < kBlock; ++i) c.verify.cx(kAncA + i, kAncB + i);
+    c.verify.tick();
+    for (uint32_t i = 0; i < kBlock; ++i) c.verify.m(kAncB + i);
+    c.verify.tick();
+    // Bit-flip: rotate the ancilla, XOR data -> ancilla, measure Z.
+    // Phase-flip: XOR ancilla -> data, measure X.
+    sim::Circuit& bit = c.extract[0];
+    for (uint32_t i = 0; i < kBlock; ++i) bit.h(kAncA + i);
+    bit.tick();
+    for (uint32_t i = 0; i < kBlock; ++i) bit.cx(kData + i, kAncA + i);
+    bit.tick();
+    for (uint32_t i = 0; i < kBlock; ++i) bit.m(kAncA + i);
+    bit.tick();
+    sim::Circuit& phase = c.extract[1];
+    for (uint32_t i = 0; i < kBlock; ++i) phase.cx(kAncA + i, kData + i);
+    phase.tick();
+    for (uint32_t i = 0; i < kBlock; ++i) phase.mx(kAncA + i);
+    phase.tick();
+    for (const uint32_t base : {kData, kAncA}) {
+      for (size_t sub = 0; sub < 7; ++sub) {
+        Level2Circuits::SubblockCycle& cy =
+            c.subblock_cycles[base == kData ? 0 : 1][sub];
+        cy.layout =
+            SteaneCycleLayout{level2_subblock(base, sub), scratch_a, scratch_b};
+        cy.circuits = compile_steane_cycle(cy.layout);
+      }
+    }
+    return c;
+  }();
+  return kCircuits;
+}
+
+Level2Recovery::Level2Recovery(const sim::NoiseParams& noise,
+                               RecoveryPolicy policy, uint64_t seed)
+    : frame_(kNumQubits, seed),
+      noise_(noise),
+      policy_(policy),
+      stochastic_(noise),
+      injector_(&stochastic_) {
+  for (uint32_t q = 0; q < kAncB; ++q) data_and_a_.push_back(q);
+  // The scratch ancillas [kScratchA, kNumQubits) are alive only inside the
+  // interleaved level-1 cycles, which do their own storage accounting; the
+  // level-2 active set stays the three 49-qubit blocks.
+  for (uint32_t q = 0; q < kAncB + kBlock; ++q) all_.push_back(q);
+}
+
+void Level2Recovery::reset() { frame_.clear(); }
+
+void Level2Recovery::set_injector(NoiseInjector* injector) {
+  injector_ = injector != nullptr ? injector : &stochastic_;
+}
+
+void Level2Recovery::inject_data(uint32_t q, char pauli) {
+  FTQC_CHECK(q < kBlock, "data qubit index out of range");
+  inject_pauli(frame_, q, pauli);
+}
+
+void Level2Recovery::apply_memory_noise(double p) {
+  for (uint32_t q = 0; q < kBlock; ++q) frame_.depolarize1(q, p);
+}
+
 bool Level2Recovery::DecodedSyndrome::any() const {
   if (top.any()) return true;
   for (const auto& s : sub) {
@@ -131,46 +166,19 @@ bool Level2Recovery::DecodedSyndrome::operator==(
 }
 
 void Level2Recovery::run_subblock_recoveries(uint32_t base) {
-  static constexpr std::array<uint32_t, 7> kScrA = {147, 148, 149, 150,
-                                                    151, 152, 153};
-  static constexpr std::array<uint32_t, 7> kScrB = {154, 155, 156, 157,
-                                                    158, 159, 160};
-  static_assert(kScrA[0] == kScratchA && kScrB[0] == kScratchB);
-  struct SubblockCycle {
-    SteaneCycleLayout layout;
-    SteaneCycleCircuits circuits;
-  };
-  // The fault scans replay this gadget ~200k times, so the per-subblock
-  // circuits are compiled exactly once per base (thread-safe static init;
-  // read-only afterwards).
-  static const std::array<std::array<SubblockCycle, 7>, 2> kCycles = [] {
-    std::array<std::array<SubblockCycle, 7>, 2> cycles;
-    for (const uint32_t b : {kData, kAncA}) {
-      for (size_t sub = 0; sub < 7; ++sub) {
-        SubblockCycle& cy = cycles[b == kData ? 0 : 1][sub];
-        cy.layout = SteaneCycleLayout{level2_subblock(b, sub), kScrA, kScrB};
-        cy.circuits = compile_steane_cycle(cy.layout);
-      }
-    }
-    return cycles;
-  }();
   FTQC_CHECK(base == kData || base == kAncA,
              "subblock recoveries run on the data block or ancilla A");
-  for (const SubblockCycle& cy : kCycles[base == kData ? 0 : 1]) {
+  for (const Level2Circuits::SubblockCycle& cy :
+       level2_circuits().subblock_cycles[base == kData ? 0 : 1]) {
     run_steane_cycle(frame_, *injector_, policy_, hamming_, cy.layout,
                      cy.circuits);
   }
 }
 
 void Level2Recovery::prepare_verified_zero_ancilla() {
-  // Compiled once: identical for every instance (the Hamming code is
-  // stateless) and replayed ~200k times by the exhaustive fault scans.
-  static const sim::Circuit kPrepA =
-      level2_zero_prep(gf2::Hamming743{}, kAncA);
-  static const sim::Circuit kPrepB =
-      level2_zero_prep(gf2::Hamming743{}, kAncB);
+  const Level2Circuits& circuits = level2_circuits();
   injector_->on_marker("prep:A");
-  run_gadget(frame_, kPrepA, *injector_, data_and_a_);
+  run_gadget(frame_, circuits.prep_a, *injector_, data_and_a_);
   injector_->on_marker("prep:A:end");
   if (policy_.level2_discipline == Level2Discipline::kExRec) {
     // Extended rectangle: scrub every ancilla subblock with a level-1
@@ -185,17 +193,9 @@ void Level2Recovery::prepare_verified_zero_ancilla() {
 
   int votes_one = 0;
   int rounds = 0;
-  static const sim::Circuit kVerifyCnots = [] {
-    sim::Circuit cnots;
-    for (uint32_t i = 0; i < kBlock; ++i) cnots.cx(kAncA + i, kAncB + i);
-    cnots.tick();
-    for (uint32_t i = 0; i < kBlock; ++i) cnots.m(kAncB + i);
-    cnots.tick();
-    return cnots;
-  }();
   for (int round = 0; round < policy_.verification_rounds; ++round) {
-    run_gadget(frame_, kPrepB, *injector_, all_);
-    const auto flips = run_gadget(frame_, kVerifyCnots, *injector_, all_);
+    run_gadget(frame_, circuits.prep_b, *injector_, all_);
+    const auto flips = run_gadget(frame_, circuits.verify, *injector_, all_);
     // Hierarchical decode of the measured block.
     gf2::BitVec logicals(7);
     for (size_t sub = 0; sub < 7; ++sub) {
@@ -231,28 +231,8 @@ Level2Recovery::DecodedSyndrome Level2Recovery::extract_syndrome(
   prepare_verified_zero_ancilla();
   injector_->on_marker("extract");
 
-  static const std::array<sim::Circuit, 2> kExtract = [] {
-    std::array<sim::Circuit, 2> gadgets;
-    for (const bool phase : {false, true}) {
-      sim::Circuit& gadget = gadgets[phase];
-      if (phase) {
-        for (uint32_t i = 0; i < kBlock; ++i) gadget.cx(kAncA + i, kData + i);
-        gadget.tick();
-        for (uint32_t i = 0; i < kBlock; ++i) gadget.mx(kAncA + i);
-        gadget.tick();
-      } else {
-        for (uint32_t i = 0; i < kBlock; ++i) gadget.h(kAncA + i);
-        gadget.tick();
-        for (uint32_t i = 0; i < kBlock; ++i) gadget.cx(kData + i, kAncA + i);
-        gadget.tick();
-        for (uint32_t i = 0; i < kBlock; ++i) gadget.m(kAncA + i);
-        gadget.tick();
-      }
-    }
-    return gadgets;
-  }();
-  const auto flips =
-      run_gadget(frame_, kExtract[phase_type], *injector_, data_and_a_);
+  const auto flips = run_gadget(frame_, level2_circuits().extract[phase_type],
+                                *injector_, data_and_a_);
   for (uint32_t i = 0; i < kBlock; ++i) frame_.reset(kAncA + i);
   injector_->on_marker("extract:end");
 

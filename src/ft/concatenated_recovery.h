@@ -6,6 +6,7 @@
 
 #include "ft/noise_injector.h"
 #include "ft/recovery.h"
+#include "ft/steane_recovery.h"
 #include "gf2/hamming.h"
 #include "sim/frame_sim.h"
 #include "sim/noise_model.h"
@@ -17,13 +18,31 @@ namespace ftqc::ft {
 [[nodiscard]] std::array<uint32_t, 7> level2_subblock(uint32_t base,
                                                       size_t sub);
 
-// The level-2 |0>_code preparation circuit on a 49-qubit block at `base`:
-// seven level-1 |0>_code preparations followed by the Fig. 3 structure
-// applied with LOGICAL gates (bitwise H on pivot subblocks, transversal XOR
-// fan-outs). One builder so the serial and batch engines replay the exact
-// same circuit.
-[[nodiscard]] sim::Circuit level2_zero_prep(const gf2::Hamming743& hamming,
-                                            uint32_t base);
+// Every circuit a level-2 cycle replays, built once (thread-safe static
+// init; read-only afterwards) and read by both the serial and the batch
+// driver, so the engines replay the exact same gadgets. The exhaustive
+// fault scans replay a level-2 cycle ~200k times, and the batch engine
+// amortizes the one build over every block of every sweep.
+struct Level2Circuits {
+  // Level-2 |0>_code preparations on ancilla A and B: seven level-1
+  // |0>_code preparations followed by the Fig. 3 structure applied with
+  // LOGICAL gates (bitwise H on pivot subblocks, transversal XOR fan-outs).
+  sim::Circuit prep_a;
+  sim::Circuit prep_b;
+  // §3.3 verification: transversal XOR A -> B, then measure B.
+  sim::Circuit verify;
+  // Syndrome extraction, indexed by phase_type (false = bit-flip).
+  std::array<sim::Circuit, 2> extract;
+  // The exRec interleave: one level-1 cycle per 7-qubit subblock on the
+  // shared scratch ancillas, [0] on the data block, [1] on ancilla A.
+  struct SubblockCycle {
+    SteaneCycleLayout layout;
+    SteaneCycleCircuits circuits;
+  };
+  std::array<std::array<SubblockCycle, 7>, 2> subblock_cycles;
+};
+
+[[nodiscard]] const Level2Circuits& level2_circuits();
 
 // Fault-tolerant recovery for a LEVEL-2 concatenated Steane block (§5,
 // Fig. 14): 49 data qubits arranged as seven level-1 subblocks. Because the

@@ -106,12 +106,7 @@ void GenericShorRecovery::set_injector(NoiseInjector* injector) {
 
 void GenericShorRecovery::inject_data(uint32_t q, char pauli) {
   FTQC_CHECK(q < extraction_.data.size(), "data qubit index out of range");
-  switch (pauli) {
-    case 'X': frame_.inject_x(q); break;
-    case 'Y': frame_.inject_y(q); break;
-    case 'Z': frame_.inject_z(q); break;
-    default: FTQC_CHECK(false, "inject_data expects X, Y or Z");
-  }
+  inject_pauli(frame_, q, pauli);
 }
 
 void GenericShorRecovery::apply_memory_noise(double p) {

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 
+#include "common/check.h"
 #include "gf2/bitvec.h"
 #include "gf2/hamming.h"
 #include "sim/frame_sim.h"
@@ -67,5 +68,18 @@ struct RecoveryPolicy {
 // relative to the trivial reference.
 [[nodiscard]] gf2::BitVec hamming_syndrome_of_flips(const gf2::Hamming743& code,
                                                     const uint8_t* flips);
+
+// Injects the Pauli named by `pauli` ('X', 'Y' or 'Z') on qubit q of a
+// frame simulator — a FrameSim, or every lane of a BatchFrameSim. The
+// drivers' inject_data bodies check their own qubit range and call this.
+template <typename Sim>
+void inject_pauli(Sim& sim, uint32_t q, char pauli) {
+  switch (pauli) {
+    case 'X': sim.inject_x(q); break;
+    case 'Y': sim.inject_y(q); break;
+    case 'Z': sim.inject_z(q); break;
+    default: FTQC_CHECK(false, "inject_data expects X, Y or Z");
+  }
+}
 
 }  // namespace ftqc::ft

@@ -1,8 +1,6 @@
 #include "universal/batch_flag_recovery.h"
 
 #include <algorithm>
-#include <map>
-#include <utility>
 
 #include "common/check.h"
 #include "common/errors.h"
@@ -16,28 +14,15 @@ BatchFlagRecovery::BatchFlagRecovery(const codes::StabilizerCode& code,
                                      const sim::NoiseParams& noise,
                                      ft::RecoveryPolicy policy, size_t shots,
                                      uint64_t seed)
-    : code_(code),
-      table_(code),
-      decoder_(code),
+    : extraction_(code),
       sim_(code.n() + 2, shots, seed),
       gadgets_(sim_, noise),
-      noise_(noise),
       policy_(policy),
       words_(sim_.num_words()),
-      ancilla_(static_cast<uint32_t>(code.n())),
-      flag_(static_cast<uint32_t>(code.n()) + 1) {
+      all_generators_(~uint64_t{0} >> (64 - code.num_generators())) {
   if (noise.p_leak > 0) {
     throw UnsupportedChannel("BatchFlagRecovery", "p_leak > 0",
                              "FlagRecovery");
-  }
-  for (uint32_t q = 0; q < flag_ + 1; ++q) all_qubits_.push_back(q);
-  for (uint32_t q = 0; q < ancilla_ + 1; ++q) noflag_qubits_.push_back(q);
-  for (size_t g = 0; g < code.num_generators(); ++g) {
-    const auto& order = table_.order(g);
-    flagged_gadgets_.push_back(flag_extraction_circuit(
-        code.generators()[g], order, ancilla_, flag_, /*flagged=*/true));
-    unflagged_gadgets_.push_back(flag_extraction_circuit(
-        code.generators()[g], order, ancilla_, flag_, /*flagged=*/false));
   }
 }
 
@@ -47,101 +32,79 @@ void BatchFlagRecovery::reset() {
 }
 
 void BatchFlagRecovery::inject_data(uint32_t q, char pauli) {
-  FTQC_CHECK(q < code_.n(), "data qubit index out of range");
-  switch (pauli) {
-    case 'X': sim_.inject_x(q); break;
-    case 'Y': sim_.inject_y(q); break;
-    case 'Z': sim_.inject_z(q); break;
-    default: FTQC_CHECK(false, "inject_data expects X, Y or Z");
-  }
+  FTQC_CHECK(q < extraction_.code.n(), "data qubit index out of range");
+  ft::inject_pauli(sim_, q, pauli);
 }
 
 void BatchFlagRecovery::apply_memory_noise(double p) {
-  for (uint32_t q = 0; q < code_.n(); ++q) sim_.depolarize1(q, p);
+  for (const uint32_t q : extraction_.data) sim_.depolarize1(q, p);
 }
 
 void BatchFlagRecovery::measure_unflagged(size_t g, const uint64_t* active,
                                           uint64_t* out) {
-  const auto rows = gadgets_.run(unflagged_gadgets_[g], noflag_qubits_, active);
+  const auto rows =
+      gadgets_.run(extraction_.unflagged[g], extraction_.noflag_qubits, active);
   FTQC_CHECK(rows.size() == 1, "unflagged comb reads the ancilla");
   std::copy_n(sim_.record().row(rows[0]), words_, out);
-  sim_.reset(ancilla_);
-  sim_.reset(flag_);
+  sim_.reset(extraction_.ancilla);
+  sim_.reset(extraction_.flag);
 }
 
-void BatchFlagRecovery::apply_group_correction(const PauliString& correction,
-                                               const uint64_t* mask) {
-  if (correction.is_identity()) return;
-  // Mirrors the serial fix gadget: gate noise on each corrected qubit,
-  // storage noise on the resting data qubits, then the frame shift (the
-  // noiseless reference never corrects).
-  for (size_t q = 0; q < code_.n(); ++q) {
-    if (correction.pauli_at(q) != 'I') {
-      ft::batch_on_gate1(sim_, noise_, static_cast<uint32_t>(q), mask);
-    }
+void BatchFlagRecovery::apply_fixes(const std::vector<uint64_t>& fix_x,
+                                    const std::vector<uint64_t>& fix_z) {
+  // A lane whose correction is the identity runs no fix circuit at all
+  // (the serial early return), so only the fixing lanes take noise.
+  std::vector<uint64_t> fixing(words_, 0);
+  for (size_t q = 0; q < extraction_.data.size(); ++q) {
+    sim::simd::or_into(fixing.data(), &fix_x[q * words_], words_);
+    sim::simd::or_into(fixing.data(), &fix_z[q * words_], words_);
   }
-  for (size_t q = 0; q < code_.n(); ++q) {
-    if (correction.pauli_at(q) == 'I') {
-      ft::batch_on_storage(sim_, noise_, static_cast<uint32_t>(q), mask);
-    }
-  }
-  for (size_t q = 0; q < code_.n(); ++q) {
-    switch (correction.pauli_at(q)) {
-      case 'X': sim_.inject_x_masked(q, mask); break;
-      case 'Y': sim_.inject_y_masked(q, mask); break;
-      case 'Z': sim_.inject_z_masked(q, mask); break;
-      default: break;
-    }
-  }
+  ft::batch_apply_fix(sim_, gadgets_.noise(), extraction_.data, fix_x.data(),
+                      fix_z.data(), fixing.data());
 }
 
 void BatchFlagRecovery::correct_flagged(const std::vector<uint64_t>& flag_rows,
                                         const uint64_t* syndrome_rows,
                                         const uint64_t* flagged_mask) {
-  const size_t num_gen = code_.num_generators();
-  // Gather the flagged lanes by (first fired generator, follow-up
-  // syndrome); each distinct key decodes exactly once. Flagged lanes are
-  // O(num_gen * eps) sparse, so the per-lane bit reads are cheap.
-  std::map<std::pair<uint32_t, uint64_t>, std::vector<uint64_t>> groups;
-  for (size_t w = 0; w < words_; ++w) {
-    uint64_t lanes = flagged_mask[w];
-    while (lanes != 0) {
-      const int lane = __builtin_ctzll(lanes);
-      lanes &= lanes - 1;
-      uint32_t first = 0;
-      while ((flag_rows[first * words_ + w] >> lane & 1u) == 0) ++first;
-      uint64_t value = 0;
-      for (size_t g = 0; g < num_gen; ++g) {
-        value |= uint64_t{syndrome_rows[g * words_ + w] >> lane & 1u} << g;
-      }
-      auto [it, inserted] = groups.try_emplace({first, value});
-      if (inserted) it->second.assign(words_, 0);
-      it->second[w] |= uint64_t{1} << lane;
-    }
+  const size_t n = extraction_.data.size();
+  const size_t num_gen = extraction_.code.num_generators();
+  std::vector<uint64_t> fix_x(n * words_), fix_z(n * words_);
+  // Peel the flagged lanes off by FIRST fired generator, then group each
+  // generator's lanes by follow-up syndrome; each key decodes once.
+  std::vector<uint64_t> unclaimed(flagged_mask, flagged_mask + words_);
+  std::vector<uint64_t> first(words_);
+  for (size_t g = 0;
+       g < num_gen && ft::batch_any_lane(unclaimed.data(), words_); ++g) {
+    const uint64_t* fired = &flag_rows[g * words_];
+    std::copy(unclaimed.begin(), unclaimed.end(), first.begin());
+    sim::simd::and_into(first.data(), fired, words_);
+    sim::simd::andnot(unclaimed.data(), unclaimed.data(), fired, words_);
+    ft::for_each_syndrome_value(
+        all_generators_, syndrome_rows, first.data(), words_,
+        [&](uint64_t value, const uint64_t* lanes) {
+          const PauliString* flagged = extraction_.table.decode(g, value);
+          ft::batch_add_fix(
+              flagged != nullptr ? *flagged : extraction_.decoder.decode(value),
+              lanes, fix_x.data(), fix_z.data(), words_);
+        });
   }
-  for (const auto& [key, mask] : groups) {
-    gf2::BitVec syndrome(num_gen);
-    for (size_t g = 0; g < num_gen; ++g) syndrome.set(g, (key.second >> g) & 1u);
-    const PauliString* flagged = table_.decode(key.first, syndrome);
-    apply_group_correction(
-        flagged != nullptr ? *flagged : decoder_.decode(syndrome), mask.data());
-  }
+  apply_fixes(fix_x, fix_z);
 }
 
 void BatchFlagRecovery::run_cycle() {
-  const size_t num_gen = code_.num_generators();
-  FTQC_CHECK(num_gen <= 64, "syndrome gather packs into one word");
+  const size_t num_gen = extraction_.code.num_generators();
   // Round 1: flagged combs on every lane.
   std::vector<uint64_t> syn1(num_gen * words_), flag_rows(num_gen * words_);
   std::vector<uint64_t> flagged(words_, 0);
   for (size_t g = 0; g < num_gen; ++g) {
-    const auto rows =
-        gadgets_.run(flagged_gadgets_[g], all_qubits_, /*lane_mask=*/nullptr);
+    const auto rows = gadgets_.run(extraction_.flagged[g],
+                                   extraction_.all_qubits,
+                                   /*lane_mask=*/nullptr);
     FTQC_CHECK(rows.size() == 2, "flagged comb reads ancilla + flag");
     std::copy_n(sim_.record().row(rows[0]), words_, &syn1[g * words_]);
     std::copy_n(sim_.record().row(rows[1]), words_, &flag_rows[g * words_]);
-    sim_.reset(ancilla_);
-    sim_.reset(flag_);
+    sim_.reset(extraction_.ancilla);
+    sim_.reset(extraction_.flag);
     sim::simd::or_into(flagged.data(), &flag_rows[g * words_], words_);
     flags_raised_ +=
         ft::batch_count_lanes(&flag_rows[g * words_], words_, sim_.num_shots());
@@ -173,35 +136,22 @@ void BatchFlagRecovery::run_cycle() {
         }
       },
       [&](const uint64_t* syn, const uint64_t* act) {
-        // Gather-decode through the plain lookup table (no flag fired).
-        std::map<uint64_t, std::vector<uint64_t>> groups;
-        for (size_t w = 0; w < words_; ++w) {
-          uint64_t lanes = act[w];
-          while (lanes != 0) {
-            const int lane = __builtin_ctzll(lanes);
-            lanes &= lanes - 1;
-            uint64_t value = 0;
-            for (size_t g = 0; g < num_gen; ++g) {
-              value |= uint64_t{syn[g * words_ + w] >> lane & 1u} << g;
-            }
-            auto [it, inserted] = groups.try_emplace(value);
-            if (inserted) it->second.assign(words_, 0);
-            it->second[w] |= uint64_t{1} << lane;
-          }
-        }
-        for (const auto& [value, mask] : groups) {
-          gf2::BitVec syndrome(num_gen);
-          for (size_t g = 0; g < num_gen; ++g) {
-            syndrome.set(g, (value >> g) & 1u);
-          }
-          apply_group_correction(decoder_.decode(syndrome), mask.data());
-        }
+        // Decode through the plain lookup table (no flag fired).
+        const size_t n = extraction_.data.size();
+        std::vector<uint64_t> fix_x(n * words_), fix_z(n * words_);
+        ft::for_each_syndrome_value(
+            all_generators_, syn, act, words_,
+            [&](uint64_t value, const uint64_t* lanes) {
+              ft::batch_add_fix(extraction_.decoder.decode(value), lanes,
+                                fix_x.data(), fix_z.data(), words_);
+            });
+        apply_fixes(fix_x, fix_z);
       });
 }
 
 PauliString BatchFlagRecovery::residual(size_t shot) const {
-  PauliString r(code_.n());
-  for (size_t q = 0; q < code_.n(); ++q) {
+  PauliString r(extraction_.code.n());
+  for (const uint32_t q : extraction_.data) {
     r.set_x(q, sim_.x_flip(q, shot));
     r.set_z(q, sim_.z_flip(q, shot));
   }
@@ -209,16 +159,19 @@ PauliString BatchFlagRecovery::residual(size_t shot) const {
 }
 
 bool BatchFlagRecovery::any_logical_error(size_t shot) const {
-  return decoder_.residual_effect(residual(shot)).any();
+  return extraction_.decoder.residual_effect(residual(shot)).any();
+}
+
+void BatchFlagRecovery::logical_error_lanes(uint64_t* out) const {
+  ft::batch_logical_errors(sim_, extraction_.decoder,
+                           {&all_generators_, 1}, out);
 }
 
 uint64_t BatchFlagRecovery::count_any_logical_error(size_t num_lanes) const {
-  const size_t lanes = std::min(num_lanes, sim_.num_shots());
-  uint64_t count = 0;
-  for (size_t shot = 0; shot < lanes; ++shot) {
-    count += any_logical_error(shot) ? 1 : 0;
-  }
-  return count;
+  std::vector<uint64_t> failed(words_);
+  logical_error_lanes(failed.data());
+  return ft::batch_count_lanes(failed.data(), words_,
+                               std::min(num_lanes, sim_.num_shots()));
 }
 
 }  // namespace ftqc::universal

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "codes/lookup_decoder.h"
 #include "codes/stabilizer_code.h"
 #include "ft/batch_recovery.h"
 #include "ft/recovery.h"
@@ -14,20 +13,23 @@
 namespace ftqc::universal {
 
 // Bit-parallel FlagRecovery: the flag-qubit recovery cycle on 64 shots per
-// word, replaying the same comb circuits through BatchGadgetRunner with the
-// noise masked to the lanes whose serial shot would execute each gadget.
-// Per-shot control flow maps to lane masks:
+// word, replaying the same FlagExtraction combs through BatchGadgetRunner
+// with the noise masked to the lanes whose serial shot would execute each
+// gadget. Per-shot control flow maps to lane masks:
 //  * round 1 (flagged combs) runs on every lane;
 //  * the clean re-extraction runs masked to the lanes whose flag fired;
-//  * the flag-conditioned correction gathers those lanes by (first fired
-//    generator, follow-up syndrome), decodes each distinct key once, and
-//    applies the Pauli as masked injections;
+//  * the flag-conditioned correction groups those lanes by first fired
+//    generator and follow-up syndrome value (for_each_syndrome_value),
+//    decodes each distinct key once, and applies the fixes through
+//    batch_apply_fix — lanes whose correction is the identity take no
+//    noise, as the serial early return;
 //  * the unflagged lanes run the ordinary §3.4 repeat policy through
 //    run_batch_repeat_policy, with round 1's syndrome reused as the first
 //    reading (the closure's first extract call copies it instead of
 //    measuring again — serial shots never re-measure round 1 either).
 // Identical control flow is what pins this driver bit-for-bit against the
-// serial FlagRecovery under deterministic injections.
+// serial FlagRecovery under deterministic injections. The verdict is
+// word-level (batch_logical_errors).
 class BatchFlagRecovery {
  public:
   BatchFlagRecovery(const codes::StabilizerCode& code,
@@ -45,6 +47,8 @@ class BatchFlagRecovery {
 
   [[nodiscard]] pauli::PauliString residual(size_t shot) const;
   [[nodiscard]] bool any_logical_error(size_t shot) const;
+  // Lanes whose residual defeats ideal decoding, as num_words() words.
+  void logical_error_lanes(uint64_t* out) const;
   [[nodiscard]] uint64_t count_any_logical_error(
       size_t num_lanes = SIZE_MAX) const;
 
@@ -52,7 +56,9 @@ class BatchFlagRecovery {
   [[nodiscard]] uint64_t flags_raised() const { return flags_raised_; }
 
   [[nodiscard]] sim::BatchFrameSim& frames() { return sim_; }
-  [[nodiscard]] const FlagDecodeTable& table() const { return table_; }
+  [[nodiscard]] const FlagDecodeTable& table() const {
+    return extraction_.table;
+  }
 
  private:
   // One unflagged comb on the lanes of `active`; writes the bit-sliced
@@ -62,25 +68,16 @@ class BatchFlagRecovery {
   void correct_flagged(const std::vector<uint64_t>& flag_rows,
                        const uint64_t* syndrome_rows,
                        const uint64_t* flagged_mask);
-  // Masked data-block correction shared by both decode paths: gate noise on
-  // the corrected qubits, storage on the rest, then the reference shift.
-  void apply_group_correction(const pauli::PauliString& correction,
-                              const uint64_t* mask);
+  // batch_apply_fix on the lanes whose correction is not the identity.
+  void apply_fixes(const std::vector<uint64_t>& fix_x,
+                   const std::vector<uint64_t>& fix_z);
 
-  const codes::StabilizerCode& code_;
-  FlagDecodeTable table_;
-  codes::LookupDecoder decoder_;
+  FlagExtraction extraction_;
   sim::BatchFrameSim sim_;
   ft::BatchGadgetRunner gadgets_;
-  sim::NoiseParams noise_;
   ft::RecoveryPolicy policy_;
   size_t words_;
-  uint32_t ancilla_;
-  uint32_t flag_;
-  std::vector<uint32_t> all_qubits_;
-  std::vector<uint32_t> noflag_qubits_;
-  std::vector<sim::Circuit> flagged_gadgets_;
-  std::vector<sim::Circuit> unflagged_gadgets_;
+  uint64_t all_generators_;  // bitmask over the code's generators
   uint64_t flags_raised_ = 0;
 };
 

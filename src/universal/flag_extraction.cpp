@@ -149,10 +149,9 @@ bool FlagDecodeTable::try_build(size_t g, const std::vector<uint32_t>& order,
   return true;
 }
 
-const PauliString* FlagDecodeTable::decode(size_t g,
-                                           const gf2::BitVec& syndrome) const {
+const PauliString* FlagDecodeTable::decode(size_t g, uint64_t syndrome) const {
   FTQC_CHECK(g < tables_.size(), "generator index out of range");
-  const auto it = tables_[g].find(syndrome.to_u64());
+  const auto it = tables_[g].find(syndrome);
   return it == tables_[g].end() ? nullptr : &it->second;
 }
 
@@ -160,6 +159,26 @@ size_t FlagDecodeTable::table_size() const {
   size_t total = 0;
   for (const Table& t : tables_) total += t.size();
   return total;
+}
+
+FlagExtraction::FlagExtraction(const codes::StabilizerCode& code)
+    : code(code),
+      table(code),
+      decoder(code),
+      ancilla(static_cast<uint32_t>(code.n())),
+      flag(static_cast<uint32_t>(code.n()) + 1) {
+  for (uint32_t q = 0; q < ancilla; ++q) data.push_back(q);
+  noflag_qubits = data;
+  noflag_qubits.push_back(ancilla);
+  all_qubits = noflag_qubits;
+  all_qubits.push_back(flag);
+  for (size_t g = 0; g < code.num_generators(); ++g) {
+    const auto& order = table.order(g);
+    flagged.push_back(flag_extraction_circuit(code.generators()[g], order,
+                                              ancilla, flag, /*flagged=*/true));
+    unflagged.push_back(flag_extraction_circuit(
+        code.generators()[g], order, ancilla, flag, /*flagged=*/false));
+  }
 }
 
 }  // namespace ftqc::universal

@@ -5,6 +5,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "codes/lookup_decoder.h"
 #include "codes/stabilizer_code.h"
 #include "pauli/pauli_string.h"
 #include "sim/circuit.h"
@@ -73,10 +74,15 @@ class FlagDecodeTable {
   }
 
   // Correction for "flag of generator g fired; the follow-up round read
-  // `syndrome`". nullptr when no single-fault candidate matches (more than
-  // one fault happened) — callers fall back to the plain lookup decoder.
+  // `syndrome`" (bits or packed, bit j for generator j). nullptr when no
+  // single-fault candidate matches (more than one fault happened) —
+  // callers fall back to the plain lookup decoder.
+  [[nodiscard]] const pauli::PauliString* decode(size_t g,
+                                                 uint64_t syndrome) const;
   [[nodiscard]] const pauli::PauliString* decode(
-      size_t g, const gf2::BitVec& syndrome) const;
+      size_t g, const gf2::BitVec& syndrome) const {
+    return decode(g, syndrome.to_u64());
+  }
 
   // Total table entries, summed over generators (structure tests).
   [[nodiscard]] size_t table_size() const;
@@ -91,6 +97,26 @@ class FlagDecodeTable {
   const codes::StabilizerCode& code_;
   std::vector<std::vector<uint32_t>> orders_;
   std::vector<Table> tables_;
+};
+
+// What a flag-recovery driver reads off its code, built once per driver
+// and shared by the serial and batch engines (as ft::CatExtraction is for
+// the cat-state drivers), so their tables, combs and qubit sets cannot
+// drift. Register layout: data [0, n), ancilla n, flag n+1.
+struct FlagExtraction {
+  explicit FlagExtraction(const codes::StabilizerCode& code);
+
+  const codes::StabilizerCode& code;
+  FlagDecodeTable table;
+  codes::LookupDecoder decoder;
+  uint32_t ancilla = 0;
+  uint32_t flag = 0;
+  std::vector<uint32_t> data;           // [0, n): the fix gadget's qubits
+  std::vector<uint32_t> noflag_qubits;  // data + ancilla
+  std::vector<uint32_t> all_qubits;     // data + ancilla + flag
+  // Per generator, built with the table's comb order.
+  std::vector<sim::Circuit> flagged;
+  std::vector<sim::Circuit> unflagged;
 };
 
 }  // namespace ftqc::universal

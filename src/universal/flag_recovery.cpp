@@ -10,27 +10,11 @@ using pauli::PauliString;
 FlagRecovery::FlagRecovery(const codes::StabilizerCode& code,
                            const sim::NoiseParams& noise,
                            ft::RecoveryPolicy policy, uint64_t seed)
-    : code_(code),
-      table_(code),
-      decoder_(code),
+    : extraction_(code),
       frame_(code.n() + 2, seed),
-      noise_(noise),
       policy_(policy),
       stochastic_(noise),
-      injector_(&stochastic_),
-      ancilla_(static_cast<uint32_t>(code.n())),
-      flag_(static_cast<uint32_t>(code.n()) + 1) {
-  for (uint32_t q = 0; q < flag_ + 1; ++q) all_qubits_.push_back(q);
-  for (uint32_t q = 0; q < ancilla_ + 1; ++q) noflag_qubits_.push_back(q);
-  for (uint32_t q = 0; q < code.n(); ++q) data_only_.push_back(q);
-  for (size_t g = 0; g < code.num_generators(); ++g) {
-    const auto& order = table_.order(g);
-    flagged_gadgets_.push_back(flag_extraction_circuit(
-        code.generators()[g], order, ancilla_, flag_, /*flagged=*/true));
-    unflagged_gadgets_.push_back(flag_extraction_circuit(
-        code.generators()[g], order, ancilla_, flag_, /*flagged=*/false));
-  }
-}
+      injector_(&stochastic_) {}
 
 void FlagRecovery::reset() {
   frame_.clear();
@@ -42,23 +26,19 @@ void FlagRecovery::set_injector(ft::NoiseInjector* injector) {
 }
 
 void FlagRecovery::inject_data(uint32_t q, char pauli) {
-  FTQC_CHECK(q < code_.n(), "data qubit index out of range");
-  switch (pauli) {
-    case 'X': frame_.inject_x(q); break;
-    case 'Y': frame_.inject_y(q); break;
-    case 'Z': frame_.inject_z(q); break;
-    default: FTQC_CHECK(false, "inject_data expects X, Y or Z");
-  }
+  FTQC_CHECK(q < extraction_.code.n(), "data qubit index out of range");
+  ft::inject_pauli(frame_, q, pauli);
 }
 
 void FlagRecovery::apply_memory_noise(double p) {
-  for (uint32_t q = 0; q < code_.n(); ++q) frame_.depolarize1(q, p);
+  for (const uint32_t q : extraction_.data) frame_.depolarize1(q, p);
 }
 
 bool FlagRecovery::measure_generator(size_t g, bool flagged, bool* flag_fired) {
   const sim::Circuit& gadget =
-      flagged ? flagged_gadgets_[g] : unflagged_gadgets_[g];
-  const auto& active = flagged ? all_qubits_ : noflag_qubits_;
+      flagged ? extraction_.flagged[g] : extraction_.unflagged[g];
+  const auto& active =
+      flagged ? extraction_.all_qubits : extraction_.noflag_qubits;
   const auto flips = ft::run_gadget(frame_, gadget, *injector_, active);
   if (flagged) {
     FTQC_CHECK(flips.size() == 2, "flagged comb reads ancilla + flag");
@@ -66,14 +46,14 @@ bool FlagRecovery::measure_generator(size_t g, bool flagged, bool* flag_fired) {
   } else {
     FTQC_CHECK(flips.size() == 1, "unflagged comb reads the ancilla");
   }
-  frame_.reset(ancilla_);
-  frame_.reset(flag_);
+  frame_.reset(extraction_.ancilla);
+  frame_.reset(extraction_.flag);
   return flips[0] != 0;
 }
 
 gf2::BitVec FlagRecovery::extract_unflagged() {
-  gf2::BitVec syndrome(code_.num_generators());
-  for (size_t g = 0; g < code_.num_generators(); ++g) {
+  gf2::BitVec syndrome(extraction_.code.num_generators());
+  for (size_t g = 0; g < extraction_.code.num_generators(); ++g) {
     syndrome.set(g, measure_generator(g, /*flagged=*/false, nullptr));
   }
   return syndrome;
@@ -82,7 +62,7 @@ gf2::BitVec FlagRecovery::extract_unflagged() {
 void FlagRecovery::apply_correction(const PauliString& correction) {
   if (correction.is_identity()) return;
   sim::Circuit fix;
-  for (size_t q = 0; q < code_.n(); ++q) {
+  for (size_t q = 0; q < extraction_.code.n(); ++q) {
     switch (correction.pauli_at(q)) {
       case 'X': fix.x(static_cast<uint32_t>(q)); break;
       case 'Y': fix.y(static_cast<uint32_t>(q)); break;
@@ -91,17 +71,17 @@ void FlagRecovery::apply_correction(const PauliString& correction) {
     }
   }
   fix.tick();
-  ft::run_gadget(frame_, fix, *injector_, data_only_);
+  ft::run_gadget(frame_, fix, *injector_, extraction_.data);
   // The correction shifts the reference (the noiseless run never corrects).
   PauliString embedded(frame_.num_qubits());
-  for (size_t q = 0; q < code_.n(); ++q) {
+  for (size_t q = 0; q < extraction_.code.n(); ++q) {
     embedded.set_pauli(q, correction.pauli_at(q));
   }
   frame_.inject(embedded);
 }
 
 void FlagRecovery::run_cycle() {
-  const size_t num_gen = code_.num_generators();
+  const size_t num_gen = extraction_.code.num_generators();
   gf2::BitVec syn1(num_gen);
   size_t first_flagged = num_gen;
   for (size_t g = 0; g < num_gen; ++g) {
@@ -116,8 +96,9 @@ void FlagRecovery::run_cycle() {
     // A flag fired: under a single fault the follow-up round is clean, and
     // the flag table of the FIRST fired generator names the hook uniquely.
     const gf2::BitVec syn2 = extract_unflagged();
-    const PauliString* flagged = table_.decode(first_flagged, syn2);
-    apply_correction(flagged != nullptr ? *flagged : decoder_.decode(syn2));
+    const PauliString* flagged = extraction_.table.decode(first_flagged, syn2);
+    apply_correction(flagged != nullptr ? *flagged
+                                        : extraction_.decoder.decode(syn2));
     return;
   }
   if (!syn1.any()) return;
@@ -125,12 +106,12 @@ void FlagRecovery::run_cycle() {
     const gf2::BitVec again = extract_unflagged();
     if (!(again == syn1)) return;  // conflicting: defer (§3.4)
   }
-  apply_correction(decoder_.decode(syn1));
+  apply_correction(extraction_.decoder.decode(syn1));
 }
 
 PauliString FlagRecovery::residual() const {
-  PauliString r(code_.n());
-  for (size_t q = 0; q < code_.n(); ++q) {
+  PauliString r(extraction_.code.n());
+  for (size_t q = 0; q < extraction_.code.n(); ++q) {
     r.set_x(q, frame_.x_frame().get(q));
     r.set_z(q, frame_.z_frame().get(q));
   }
@@ -138,7 +119,7 @@ PauliString FlagRecovery::residual() const {
 }
 
 bool FlagRecovery::any_logical_error() const {
-  return decoder_.residual_effect(residual()).any();
+  return extraction_.decoder.residual_effect(residual()).any();
 }
 
 }  // namespace ftqc::universal

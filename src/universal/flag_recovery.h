@@ -1,9 +1,7 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
-#include "codes/lookup_decoder.h"
 #include "codes/stabilizer_code.h"
 #include "ft/noise_injector.h"
 #include "ft/recovery.h"
@@ -55,7 +53,9 @@ class FlagRecovery {
 
   void set_injector(ft::NoiseInjector* injector);
   [[nodiscard]] sim::FrameSim& frame() { return frame_; }
-  [[nodiscard]] const FlagDecodeTable& table() const { return table_; }
+  [[nodiscard]] const FlagDecodeTable& table() const {
+    return extraction_.table;
+  }
 
  private:
   // One comb measurement. Flagged: fills *flag_fired; unflagged: pass
@@ -65,21 +65,11 @@ class FlagRecovery {
   [[nodiscard]] gf2::BitVec extract_unflagged();
   void apply_correction(const pauli::PauliString& correction);
 
-  const codes::StabilizerCode& code_;
-  FlagDecodeTable table_;
-  codes::LookupDecoder decoder_;
+  FlagExtraction extraction_;
   sim::FrameSim frame_;
-  sim::NoiseParams noise_;
   ft::RecoveryPolicy policy_;
   ft::StochasticInjector stochastic_;
   ft::NoiseInjector* injector_;
-  uint32_t ancilla_;
-  uint32_t flag_;
-  std::vector<uint32_t> all_qubits_;     // data + ancilla + flag
-  std::vector<uint32_t> noflag_qubits_;  // data + ancilla
-  std::vector<uint32_t> data_only_;
-  std::vector<sim::Circuit> flagged_gadgets_;
-  std::vector<sim::Circuit> unflagged_gadgets_;
   uint64_t flags_raised_ = 0;
 };
 

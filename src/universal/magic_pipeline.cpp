@@ -56,12 +56,7 @@ MagicPipelineStats MagicStatePipeline::run(size_t rounds) {
       }
       rec_.run_cycle();
       uint64_t* ei = &e[i * words_];
-      std::fill_n(ei, words_, 0);
-      for (size_t shot = 0; shot < shots; ++shot) {
-        if (rec_.any_logical_error(shot)) {
-          ei[shot >> 6] |= uint64_t{1} << (shot & 63);
-        }
-      }
+      rec_.logical_error_lanes(ei);
       stats.injected_bad += ft::batch_count_lanes(ei, words_, shots);
       // The distillation circuit touches each injected block with one
       // transversal-CX layer; fold its eps_gate2 as an extra flip.

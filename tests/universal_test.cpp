@@ -314,6 +314,47 @@ TEST(FlagRecovery, ReedMuller15ShotsMatchRecordedFingerprint) {
   }
 }
 
+// The batch driver's draws, recorded after its corrections moved onto the
+// shared per-qubit fix masks (batch_apply_fix) — by design a different
+// draw order from the per-group fixes before, unlike the serial pins above.
+uint64_t batch_flag_fingerprint(const codes::StabilizerCode& code,
+                                bool biased) {
+  universal::BatchFlagRecovery rec(code, flag_fingerprint_noise(biased),
+                                   ft::RecoveryPolicy{}, /*shots=*/4096,
+                                   /*seed=*/23);
+  rec.run_cycle();
+  Fnv1a hash;
+  for (size_t shot = 0; shot < rec.num_shots(); ++shot) {
+    hash.add(rec.any_logical_error(shot));
+  }
+  hash.add(rec.count_any_logical_error());
+  hash.add(rec.flags_raised());
+  const sim::BatchFrameSim& frames = rec.frames();
+  for (size_t w = 0; w < rec.num_words(); ++w) {
+    for (uint32_t q = 0; q < code.n(); ++q) {
+      hash.add(frames.x_flips(q)[w]);
+      hash.add(frames.z_flips(q)[w]);
+    }
+    hash.add(frames.abort_mask()[w]);
+  }
+  return hash.value();
+}
+
+TEST(BatchFlagRecovery, BlocksMatchRecordedFingerprint) {
+  const uint64_t expected[2][2] = {
+      {0x4acb5811c4254f26ull, 0x638faa27d8da9864ull},
+      {0x9e1cdc25caaa4466ull, 0xe5660277acca05a4ull}};
+  const codes::StabilizerCode* library[2] = {&codes::steane(),
+                                             &codes::reed_muller15()};
+  for (size_t c = 0; c < 2; ++c) {
+    for (const bool biased : {false, true}) {
+      EXPECT_EQ(batch_flag_fingerprint(*library[c], biased),
+                expected[c][biased])
+          << library[c]->name() << (biased ? " biased" : " uniform");
+    }
+  }
+}
+
 // ---- Statistical pin under noise (integration tier) -------------------------
 
 TEST(UniversalBatchIntegration, BatchMatchesSerialUnderZTest) {
