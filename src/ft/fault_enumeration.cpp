@@ -165,47 +165,6 @@ FaultUniverse record_fault_universe(const GadgetExperiment& run,
   return universe;
 }
 
-FaultSetScan sample_fault_sets(const GadgetExperiment& run,
-                               const FaultUniverse& universe, size_t k,
-                               size_t num_shots, size_t first_shot,
-                               uint64_t seed, uint64_t seed_stride) {
-  FTQC_CHECK(universe.size() >= k, "fault-set sampling needs >= k locations");
-  sim::ShotPlan plan;
-  plan.shots = num_shots;
-  plan.seed = seed;
-  plan.seed_stride = seed_stride;
-  const sim::ShotRunner runner(plan);
-  const sim::ShotResult result = runner.run_range(
-      first_shot, num_shots, [&](uint64_t shot_seed) -> bool {
-        // The whole configuration comes from the shot seed; the replay
-        // itself is deterministic, so chunking cannot change the estimate.
-        std::mt19937_64 rng(shot_seed);
-        std::vector<size_t> chosen;
-        chosen.reserve(k);
-        while (chosen.size() < k) {
-          const size_t idx = static_cast<size_t>(
-              rng() % static_cast<uint64_t>(universe.eligible.size()));
-          if (std::find(chosen.begin(), chosen.end(), idx) == chosen.end()) {
-            chosen.push_back(idx);
-          }
-        }
-        std::sort(chosen.begin(), chosen.end());
-        std::vector<FaultPointInjector::Fault> faults;
-        faults.reserve(k);
-        for (const size_t idx : chosen) {
-          const size_t loc = universe.eligible[idx];
-          const int v = static_cast<int>(
-              rng() %
-              static_cast<uint64_t>(location_variants(universe.kinds[loc])));
-          faults.push_back({loc, v});
-        }
-        FaultPointInjector injector(std::move(faults), /*record_kinds=*/false);
-        injector.set_clamp_variants(true);
-        return run(injector);
-      });
-  return FaultSetScan{result.trials, result.failures()};
-}
-
 namespace {
 
 // Per-location Bernoulli(q) proposal injector for runtime-conditioned
@@ -624,18 +583,7 @@ RareEventSweep estimate_rare_failure_sweep(const GadgetExperiment& run,
   // the pilot. The split never sees the shots it buys, so conditioned on
   // the pilot every stage-2 stratum estimate is unbiased; what remains is a
   // second-order pilot-fraction effect, not the first-order feedback bias.
-  const auto max_relative_halfwidth = [&]() {
-    double widest = 0;
-    for (size_t v = 0; v < num_views; ++v) {
-      widest = std::max(widest, estimator.estimate(v).relative_halfwidth());
-    }
-    return widest;
-  };
-  size_t remaining = options.budget - estimator.total_shots();
-  if (options.target_relative_halfwidth > 0 &&
-      max_relative_halfwidth() <= options.target_relative_halfwidth) {
-    remaining = 0;  // pilot already resolved every view
-  }
+  const size_t remaining = options.budget - estimator.total_shots();
   if (remaining > 0 && num_live > 0) {
     std::vector<double> view_mean(num_views, 0.0);
     for (size_t v = 0; v < num_views; ++v) {

@@ -180,29 +180,6 @@ struct FaultUniverse {
 [[nodiscard]] FaultUniverse record_fault_universe(const GadgetExperiment& run,
                                                   const ScanOptions& options);
 
-struct FaultSetScan {
-  size_t sets_sampled = 0;
-  size_t sets_failing = 0;
-  [[nodiscard]] Proportion proportion() const {
-    return Proportion{sets_failing, sets_sampled};
-  }
-};
-
-// Fixed-path Monte Carlo estimate of P(fail | exactly k faults): each shot
-// draws k distinct locations from the recorded universe (uniform), a
-// uniform variant at each, and replays the gadget with the set armed
-// (clamped variants, as in sample_fault_pairs). Shot i derives its
-// configuration from seed + seed_stride * (first_shot + i) alone, so
-// splitting a total into incremental grants changes nothing. k = 0 replays
-// the noiseless path. Runs
-// through ShotRunner::run_range. Exact only for gadgets WITHOUT fault-
-// dependent control flow (see the funneling bias above); rare-event sweeps
-// use sample_conditioned_fault_sets instead.
-[[nodiscard]] FaultSetScan sample_fault_sets(
-    const GadgetExperiment& run, const FaultUniverse& universe, size_t k,
-    size_t num_shots, size_t first_shot, uint64_t seed,
-    uint64_t seed_stride = 0x9E3779B97F4A7C15ull);
-
 struct ConditionedSetScan {
   size_t raw_shots = 0;  // proposal replays executed — the true cost
   size_t accepted = 0;   // of those, shots whose realized fault count == k
@@ -283,11 +260,6 @@ struct RareEventOptions {
   ScanOptions scan;            // eligible-location filter (whole-path only)
   size_t max_faults = 3;       // strata k = 0..max_faults
   size_t budget = 20000;       // raw proposal replays across all strata
-  // Sampler-call granularity for direct StratifiedEstimator drives; the
-  // two-stage sweep issues stage-sized grants and ignores it (chunk
-  // boundaries never change the sample — the samplers seed per shot).
-  size_t chunk = 64;
-  double target_relative_halfwidth = 0;  // 0 = spend the whole budget
   uint64_t seed = 1;
   // Strata 1..known_zero_max_k are pinned to P(fail|k) = 0 — supply only
   // when an exhaustive scan has PROVEN them malignancy-free (e.g. k = 1 on

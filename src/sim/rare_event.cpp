@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 namespace ftqc::sim {
 
@@ -16,36 +17,6 @@ double binomial_pmf(double n, size_t k, double p) {
   const double log_pmf =
       log_choose + kd * std::log(p) + (n - kd) * std::log1p(-p);
   return std::exp(log_pmf);
-}
-
-size_t BudgetRouter::run(size_t budget, size_t chunk, double target) {
-  spent_.assign(arms_.size(), 0);
-  if (arms_.empty() || chunk == 0) return 0;
-  std::vector<bool> retired(arms_.size(), false);
-  size_t total = 0;
-  while (total < budget) {
-    size_t best = arms_.size();
-    double best_width = -1;
-    for (size_t i = 0; i < arms_.size(); ++i) {
-      if (retired[i]) continue;
-      const double w = arms_[i].width();
-      if (w <= target) continue;  // arm resolved to target — done with it
-      if (w > best_width) {
-        best = i;
-        best_width = w;
-      }
-    }
-    if (best == arms_.size()) break;  // every live arm within target
-    const size_t grant = std::min(chunk, budget - total);
-    const size_t used = arms_[best].spend(grant);
-    if (used == 0) {
-      retired[best] = true;
-      continue;
-    }
-    spent_[best] += used;
-    total += used;
-  }
-  return total;
 }
 
 StratifiedEstimator::StratifiedEstimator(size_t num_strata,
@@ -108,73 +79,6 @@ StratifiedEstimate StratifiedEstimator::estimate(size_t view) const {
   }
   out.halfwidth = std::sqrt(var) + v.tail_weight;
   return out;
-}
-
-double StratifiedEstimator::contribution(size_t stratum, size_t view) const {
-  const View& v = views_[view];
-  const double contrib =
-      v.weights[stratum] * view_conditional_halfwidth(view, stratum);
-  if (contrib <= 0) return 0;
-  // Normalize by the view's mean so strata compete on RELATIVE width; a
-  // still-zero mean leaves the raw contribution, which preserves the
-  // ordering (all strata of that view share the same denominator anyway).
-  const double mean = estimate(view).mean;
-  return mean > 0 ? contrib / mean : contrib * 1e12;
-}
-
-double StratifiedEstimator::max_contribution(size_t stratum) const {
-  double best = 0;
-  for (size_t v = 0; v < views_.size(); ++v) {
-    best = std::max(best, contribution(stratum, v));
-  }
-  return best;
-}
-
-double StratifiedEstimator::max_view_relative_halfwidth() const {
-  double widest = 0;
-  for (size_t v = 0; v < views_.size(); ++v) {
-    widest = std::max(widest, estimate(v).relative_halfwidth());
-  }
-  return widest;
-}
-
-void StratifiedEstimator::run(const StratifiedPlan& plan) {
-  if (views_.empty() || plan.budget == 0 || plan.chunk == 0) return;
-  size_t spent = 0;
-  // Initialization pass: pull every live, never-sampled stratum once before
-  // routing adaptively. Routing priorities start from the caller's prior
-  // weights, and a prior that badly underweights a stratum (e.g. the
-  // underdispersed binomial fallback of a gadget whose path stretches with
-  // its fault count) would otherwise starve it forever — the router can
-  // only correct a weight the sampler has had one chunk to measure.
-  for (size_t k = 0; k < strata_.size() && spent < plan.budget; ++k) {
-    if (strata_[k].known_zero || shots_per_stratum_[k] > 0) continue;
-    const size_t before = total_shots_;
-    add_shots(k, std::min(plan.chunk, plan.budget - spent));
-    spent += total_shots_ - before;
-  }
-  while (spent < plan.budget) {
-    if (plan.target_relative_halfwidth > 0 &&
-        max_view_relative_halfwidth() <= plan.target_relative_halfwidth) {
-      return;
-    }
-    size_t best = strata_.size();
-    double best_metric = 0;
-    for (size_t k = 0; k < strata_.size(); ++k) {
-      if (strata_[k].known_zero) continue;
-      const double m = max_contribution(k);
-      if (m > best_metric) {
-        best_metric = m;
-        best = k;
-      }
-    }
-    if (best == strata_.size()) return;  // nothing left to tighten
-    const size_t before = total_shots_;
-    add_shots(best, std::min(plan.chunk, plan.budget - spent));
-    const size_t used = total_shots_ - before;
-    if (used == 0) return;  // sampler refused; avoid spinning
-    spent += used;
-  }
 }
 
 }  // namespace ftqc::sim

@@ -3,8 +3,6 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "common/stats.h"
@@ -16,12 +14,12 @@ namespace ftqc::sim {
 // Direct Monte Carlo starves below failure rates of ~1e-6: the §5 crossover
 // claims (and the paper's doubly-exponential suppression story) live far
 // below that. This module supplies the generic half of the engine — combine
-// per-stratum conditional estimates under a prior, and route a shot budget
-// to whatever is widest — while the gadget-specific half (runtime-
-// conditioned sampling of exactly-k-fault executions with likelihood-ratio
-// weights) lives in ft/fault_enumeration. The split keeps the layering: sim
-// knows nothing about recovery gadgets, ft reuses the estimator for every
-// gadget family.
+// per-stratum conditional estimates under a prior — while the
+// gadget-specific half (runtime-conditioned sampling of exactly-k-fault
+// executions with likelihood-ratio weights, and the budget plan that
+// grants each stratum its shots) lives in ft/fault_enumeration. The split
+// keeps the layering: sim knows nothing about recovery gadgets, ft reuses
+// the estimator for every gadget family.
 //
 // The estimator realizes
 //
@@ -33,9 +31,7 @@ namespace ftqc::sim {
 // as it learns the gadget's realized path-length distribution — and each
 // conditional P(fail | k) is a plain Monte Carlo Proportion. Because the
 // conditionals are eps-INDEPENDENT, one stratum table serves every eps of a
-// sweep: each eps is a "view" carrying its own weight vector, and the
-// budget router spends replays on the stratum that most widens any view's
-// interval.
+// sweep: each eps is a "view" carrying its own weight vector.
 
 // P(X = k) for X ~ Binomial(n, p), evaluated in log space so location
 // counts of ~1e5 and priors of ~1e-12 neither overflow the binomial
@@ -47,8 +43,8 @@ namespace ftqc::sim {
 // One importance stratum: the sampled conditional event proportion, plus a
 // "known zero" pin for strata a prior exhaustive analysis has proven can
 // never fail (e.g. single faults on a verified fault-tolerant gadget).
-// A known-zero stratum contributes neither mean nor interval width and the
-// router never spends shots on it.
+// A known-zero stratum contributes neither mean nor interval width and
+// add_shots never samples it.
 struct Stratum {
   Proportion sampled;
   bool known_zero = false;
@@ -81,35 +77,6 @@ struct StratifiedEstimate {
   }
 };
 
-// Adaptive budget allocation over independent "arms" (strata of one
-// estimator, or whole sweep points of a bench): each grant of `chunk` shots
-// goes to the arm reporting the largest width. Stops when the budget is
-// exhausted, every arm is at or below `target`, or no arm accepts shots.
-struct BudgetArm {
-  std::string label;
-  // Current priority — by convention a relative 95% half-width, so arms of
-  // different magnitude compete fairly. Infinity = completely unresolved.
-  std::function<double()> width;
-  // Spend up to n shots; returns the number actually spent (0 = refuse, the
-  // router then retires the arm).
-  std::function<size_t(size_t)> spend;
-};
-
-class BudgetRouter {
- public:
-  void add_arm(BudgetArm arm) { arms_.push_back(std::move(arm)); }
-  [[nodiscard]] size_t num_arms() const { return arms_.size(); }
-  // Returns the total number of shots spent.
-  size_t run(size_t budget, size_t chunk, double target);
-  [[nodiscard]] const std::vector<size_t>& spent_per_arm() const {
-    return spent_;
-  }
-
- private:
-  std::vector<BudgetArm> arms_;
-  std::vector<size_t> spent_;
-};
-
 // One sampler grant: the conditional Proportion to merge into the stratum,
 // plus the raw number of replays executed to produce it. A sampler that
 // conditions by rejection (run a broader proposal, keep only the shots that
@@ -131,14 +98,6 @@ struct StratumChunk {
 using StratumSampler = std::function<StratumChunk(
     size_t stratum, size_t num_shots, size_t first_shot)>;
 
-struct StratifiedPlan {
-  size_t budget = 0;  // total raw replays across all strata
-  size_t chunk = 256;
-  // Stop early once EVERY view's relative half-width reaches this; 0 spends
-  // the whole budget.
-  double target_relative_halfwidth = 0;
-};
-
 class StratifiedEstimator {
  public:
   StratifiedEstimator(size_t num_strata, StratumSampler sampler);
@@ -153,8 +112,8 @@ class StratifiedEstimator {
 
   // Replaces one view weight in place. Samplers that LEARN the prior as
   // they go (the likelihood-ratio weights of the runtime-conditioned fault
-  // sampler) push refinements here between chunks; estimates and routing
-  // decisions pick them up immediately.
+  // sampler) push refinements here between chunks; estimates pick them up
+  // immediately.
   void set_weight(size_t view, size_t stratum, double weight) {
     views_[view].weights[stratum] = weight;
   }
@@ -174,20 +133,13 @@ class StratifiedEstimator {
     views_[view].cond_halfwidth[stratum] = halfwidth;
   }
 
-  // Manual drive: sample `shots` more conditional replays of one stratum.
+  // Samples `shots` more conditional replays of one stratum (a no-op on a
+  // known-zero stratum). Callers plan the grants: a sampler that pushes
+  // set_weight / set_conditional as it samples must not be driven by
+  // chunk-by-chunk feedback on the estimates it is growing, because that
+  // optional stopping biases the result low (ft::estimate_rare_failure_sweep
+  // grants a pilot first, then one split computed from the pilot alone).
   void add_shots(size_t stratum, size_t shots);
-
-  // Adaptive drive over all views (see StratifiedPlan): after one warm-up
-  // chunk per live stratum, each chunk goes to the stratum contributing the
-  // widest relative interval. Sound for samplers with FIXED weights and
-  // unweighted conditionals. A sampler that pushes set_weight /
-  // set_conditional as it samples should NOT be driven this way: the
-  // chunk-by-chunk feedback reads the estimates it is growing, and that
-  // optional stopping biases the result low (a stratum whose interim weight
-  // fluctuates low is starved and keeps its low estimate). Such samplers
-  // plan grants externally — pilot first, then add_shots with a split
-  // computed from the pilot alone (ft::estimate_rare_failure_sweep does).
-  void run(const StratifiedPlan& plan);
 
   [[nodiscard]] size_t num_strata() const { return strata_.size(); }
   [[nodiscard]] size_t num_views() const { return views_.size(); }
@@ -212,12 +164,6 @@ class StratifiedEstimator {
   [[nodiscard]] double view_conditional_mean(size_t view, size_t stratum) const;
   [[nodiscard]] double view_conditional_halfwidth(size_t view,
                                                   size_t stratum) const;
-
-  // Relative contribution of one stratum's uncertainty to one view.
-  [[nodiscard]] double contribution(size_t stratum, size_t view) const;
-  // max over views — the routing priority of a stratum.
-  [[nodiscard]] double max_contribution(size_t stratum) const;
-  [[nodiscard]] double max_view_relative_halfwidth() const;
 
   std::vector<Stratum> strata_;
   std::vector<View> views_;

@@ -1,8 +1,8 @@
 // The rare-event measurement engine: binomial priors, the stratified
 // estimator's exact-mixture property on toy gadgets with analytically known
-// failure sets, chunk-boundary/seed determinism of the stratum samplers,
-// budget-router behavior, and a direct-vs-stratified cross-check on the real
-// level-1 Steane cycle.
+// failure sets, chunk-boundary/seed determinism of the stratum sampler,
+// raw-shot charging and known-zero strata under add_shots grants, and a
+// direct-vs-stratified cross-check on the real level-1 Steane cycle.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -139,7 +139,6 @@ TEST(RareEventSweep, ResolvesToyRatesDownTo1em10) {
   options.max_faults = 3;
   options.known_zero_max_k = 1;
   options.budget = 8000;
-  options.chunk = 64;
   options.seed = 7;
   const std::vector<double> eps = {1e-2, 1e-5};
   const RareEventSweep sweep =
@@ -179,28 +178,6 @@ TEST(RareEventSweep, DeterministicForEqualSeeds) {
     EXPECT_EQ(a.strata[k].successes, b.strata[k].successes);
     EXPECT_EQ(a.strata[k].trials, b.strata[k].trials);
   }
-}
-
-TEST(FaultSetSampler, ChunkBoundariesDoNotChangeTheSample) {
-  const FaultUniverse universe =
-      record_fault_universe(toy5_fails, ScanOptions{});
-  const uint64_t seed = 99;
-  const FaultSetScan whole =
-      sample_fault_sets(toy5_fails, universe, 2, 800, 0, seed);
-  FaultSetScan split;
-  for (const auto& [first, n] :
-       {std::pair<size_t, size_t>{0, 300}, {300, 200}, {500, 300}}) {
-    const FaultSetScan chunk =
-        sample_fault_sets(toy5_fails, universe, 2, n, first, seed);
-    split.sets_sampled += chunk.sets_sampled;
-    split.sets_failing += chunk.sets_failing;
-  }
-  EXPECT_EQ(whole.sets_sampled, split.sets_sampled);
-  EXPECT_EQ(whole.sets_failing, split.sets_failing);
-  // And the sampled fraction really converges on the exhaustive conditional.
-  const ExhaustiveSetScan exact = scan_fault_sets(toy5_fails, universe, 2);
-  EXPECT_NEAR(whole.proportion().mean(), exact.conditional_failure(),
-              3 * whole.proportion().wilson_halfwidth());
 }
 
 TEST(ConditionedSampler, ChunkBoundariesDoNotChangeTheSample) {
@@ -251,7 +228,7 @@ TEST(ConditionedSampler, FixedPathConditionalMatchesExhaustive) {
 TEST(StratifiedEstimator, RejectionSamplersAreChargedRawShots) {
   // A sampler that accepts half its proposals: the budget and the
   // first_shot offsets advance by the RAW count, so replay cost stays
-  // honest and per-shot seeds never repeat across chunks.
+  // honest and per-shot seeds never repeat across grants.
   std::vector<size_t> offsets;
   sim::StratifiedEstimator estimator(
       1, [&](size_t, size_t shots, size_t first_shot) {
@@ -259,10 +236,7 @@ TEST(StratifiedEstimator, RejectionSamplersAreChargedRawShots) {
         return sim::StratumChunk{Proportion{0, shots / 2}, shots};
       });
   (void)estimator.add_view({1.0});
-  sim::StratifiedPlan plan;
-  plan.budget = 100;
-  plan.chunk = 40;
-  estimator.run(plan);
+  for (const size_t grant : {40, 40, 20}) estimator.add_shots(0, grant);
   EXPECT_EQ(estimator.total_shots(), 100u);             // raw, not accepted
   EXPECT_EQ(estimator.stratum(0).sampled.trials, 50u);  // accepted
   EXPECT_EQ(offsets, (std::vector<size_t>{0, 40, 80}));
@@ -341,47 +315,6 @@ TEST(ShotPlanStrata, StrataGetDecorrelatedSeedStreams) {
   EXPECT_EQ(plan.for_stratum(1).seed, s1);
 }
 
-// --- Budget router -------------------------------------------------------
-
-TEST(BudgetRouter, RoutesToWidestArmAndHonorsTarget) {
-  // Arm widths shrink as 1/shots; arm 0 starts 10x wider.
-  std::vector<size_t> spent(2, 0);
-  sim::BudgetRouter router;
-  for (size_t i = 0; i < 2; ++i) {
-    const double scale = i == 0 ? 10.0 : 1.0;
-    router.add_arm({"arm",
-                    [&spent, i, scale] {
-                      return scale / static_cast<double>(1 + spent[i]);
-                    },
-                    [&spent, i](size_t n) {
-                      spent[i] += n;
-                      return n;
-                    }});
-  }
-  // Driving both arms to 0.05 needs ~200 + ~20 shots; 400 is ample.
-  const size_t total = router.run(/*budget=*/400, /*chunk=*/10, /*target=*/0.05);
-  EXPECT_EQ(total, spent[0] + spent[1]);
-  EXPECT_GT(spent[0], spent[1]);  // the wide arm got the larger share
-  // Both arms were driven to the target, and the leftover budget unspent.
-  EXPECT_LE(10.0 / (1 + spent[0]), 0.05);
-  EXPECT_LE(1.0 / (1 + spent[1]), 0.05);
-  EXPECT_LT(total, 400u);
-}
-
-TEST(BudgetRouter, RetiresRefusingArmsInsteadOfSpinning) {
-  size_t granted = 0;
-  sim::BudgetRouter router;
-  router.add_arm({"refuses", [] { return 1.0; }, [](size_t) { return size_t{0}; }});
-  router.add_arm({"works", [] { return 0.5; },
-                  [&granted](size_t n) {
-                    granted += n;
-                    return n;
-                  }});
-  const size_t total = router.run(/*budget=*/40, /*chunk=*/8, /*target=*/0);
-  EXPECT_EQ(total, 40u);
-  EXPECT_EQ(granted, 40u);
-}
-
 TEST(StratifiedEstimator, KnownZeroStrataAreNeverSampled) {
   size_t calls_to_stratum1 = 0;
   sim::StratifiedEstimator estimator(
@@ -392,11 +325,12 @@ TEST(StratifiedEstimator, KnownZeroStrataAreNeverSampled) {
   estimator.mark_known_zero(0);
   estimator.mark_known_zero(1);
   (void)estimator.add_view({0.9, 0.09, 0.01});
-  sim::StratifiedPlan plan;
-  plan.budget = 200;
-  plan.chunk = 50;
-  estimator.run(plan);
+  for (size_t stratum = 0; stratum < 3; ++stratum) {
+    estimator.add_shots(stratum, 100);
+  }
+  estimator.add_shots(2, 100);
   EXPECT_EQ(calls_to_stratum1, 0u);
+  EXPECT_EQ(estimator.total_shots(), 200u);
   EXPECT_EQ(estimator.stratum(1).sampled.trials, 0u);
   EXPECT_EQ(estimator.stratum(2).sampled.trials, 200u);
   // Pinned strata contribute no width: only stratum 2's interval remains.
