@@ -327,6 +327,8 @@ uint64_t BatchCatRetry::prepare(BatchGadgetRunner& gadgets,
                                 std::span<const uint32_t> active_qubits,
                                 const RecoveryPolicy& policy,
                                 const uint64_t* active) {
+  FTQC_CHECK(prep.num_measurements() == 1,
+             "cat prep must measure exactly the check qubit");
   return run(gadgets, prep, cat, active_qubits, policy.max_cat_attempts,
              policy.verify_ancilla,
              policy.herald_reinit && gadgets.noise().p_erase > 0, active);
