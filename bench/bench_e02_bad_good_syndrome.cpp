@@ -123,12 +123,11 @@ uint64_t good_block(const sim::NoiseParams& noise, uint64_t seed, size_t n) {
   sim::BatchFrameSim sim(12, n, seed);
   BatchGadgetRunner gadgets(sim, noise);
   BatchCatRetry retry(sim);
-  ft::RecoveryPolicy retry_policy;
-  retry_policy.max_cat_attempts = 8;
-  retry_policy.verify_ancilla = true;
   for (size_t row = 0; row < 3; ++row) {
-    retry.prepare(gadgets, kPrep, kCat, kAll, retry_policy,
-                  /*active=*/nullptr);
+    // The §3.3 discard loop: up to 8 cats, each judged by its check bit
+    // (and, under erasure, by the heralds on its qubits).
+    retry.run(gadgets, kPrep, kCat, kAll, /*attempts=*/8, /*check=*/true,
+              /*herald=*/noise.p_erase > 0, /*active=*/nullptr);
     gadgets.run(kSyndrome[row], kAll, /*lane_mask=*/nullptr);
     for (uint32_t q : kCat) sim.reset(q);
     sim.reset(kCheck);

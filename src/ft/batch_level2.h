@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "ft/batch_recovery.h"
+#include "ft/lanes.h"
 #include "ft/recovery.h"
 #include "gf2/hamming.h"
 #include "sim/batch_frame_sim.h"
@@ -11,9 +12,9 @@
 
 namespace ftqc::ft {
 
-// Bit-parallel Level2Recovery: the full extended-rectangle level-2 recovery
-// cycle (§5, Fig. 14) on 64 shots per word. Statistically equivalent to
-// `shots` independent Level2Recovery instances under the same
+// Bit-parallel Level2Recovery: the one level-2 cycle (level2_cycle, §5,
+// Fig. 14) on 64 shots per word through BatchLanes. Statistically
+// equivalent to `shots` independent Level2Recovery instances under the same
 // NoiseParams/RecoveryPolicy, for BOTH disciplines:
 //
 //  * kBare replays the "all levels simultaneously" extraction: one 49-qubit
@@ -22,12 +23,12 @@ namespace ftqc::ft {
 //    syndrome is the Hamming decode of the seven bit-sliced subblock
 //    logical-value words);
 //  * kExRec additionally nests a verified level-1 Steane recovery
-//    (run_batch_steane_cycle) on every 7-qubit subblock of the level-2
-//    ancilla — and, with exrec_data_recoveries, on the data subblocks —
-//    passing down the current active-lane mask so nested per-shot control
-//    flow (repeats, verification fixes, corrections) composes with the
-//    level-2 gadget's own (§3.4 repeats only re-extract on nontrivial
-//    lanes, corrections only fire on agreeing lanes).
+//    (steane_cycle) on every 7-qubit subblock of the level-2 ancilla — and,
+//    with exrec_data_recoveries, on the data subblocks — passing down the
+//    current active-lane mask so nested per-shot control flow (repeats,
+//    verification fixes, corrections) composes with the level-2 gadget's
+//    own (§3.4 repeats only re-extract on nontrivial lanes, corrections only
+//    fire on agreeing lanes).
 //
 // Corrections at both levels are per-lane masked Pauli injections with the
 // serial path's fault opportunities: gate noise on each corrected qubit
@@ -72,37 +73,15 @@ class BatchLevel2Recovery {
   [[nodiscard]] sim::BatchFrameSim& frames() { return sim_; }
 
  private:
-  // Bit-sliced DecodedSyndrome: 24 rows of num_words() words — three
-  // level-1 Hamming syndrome rows per subblock (rows [3*sub, 3*sub+3)),
-  // then the three level-2 rows (rows [21, 24)). The serial repeat-policy
-  // equality compares exactly these bits.
-  static constexpr size_t kSyndromeRows = 24;
-
-  void prepare_verified_zero_ancilla(const uint64_t* lane_mask);
-  void run_subblock_recoveries(uint32_t base, const uint64_t* lane_mask);
-  void extract_syndrome(bool phase_type, const uint64_t* lane_mask,
-                        uint64_t* rows24);
-  void correct(bool phase_type, const uint64_t* rows24,
-               const uint64_t* act_mask);
-  // Hierarchical decode of 49 frame/record rows: writes the seven
-  // bit-sliced subblock logical-value words into `logicals` (7 * words) and
-  // the level-2 logical decode into `out` (words words).
-  void hierarchical_decode(const uint64_t* const rows[49], uint64_t* logicals,
-                           uint64_t* out) const;
   // Per-lane residual logical error on one side (phase_type false = X),
   // bit-sliced across the whole register.
   void residual_logical(bool phase_type, uint64_t* out) const;
-  // Single-lane hierarchical decode (the serial Level2Recovery algorithm).
-  [[nodiscard]] bool lane_logical(bool phase_type, size_t shot) const;
 
   sim::BatchFrameSim sim_;
-  BatchGadgetRunner gadgets_;
-  sim::NoiseParams noise_;
+  BatchLanes lanes_;
   RecoveryPolicy policy_;
   gf2::Hamming743 hamming_;
   size_t words_;
-  std::vector<uint32_t> data_and_a_;
-  std::vector<uint32_t> all_;
 };
 
 }  // namespace ftqc::ft

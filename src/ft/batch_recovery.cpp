@@ -1,11 +1,10 @@
 #include "ft/batch_recovery.h"
 
 #include <algorithm>
-#include <array>
 
 #include "common/check.h"
 #include "common/errors.h"
-#include "ft/steane_circuits.h"
+#include "ft/lanes.h"
 #include "ft/steane_layout.h"
 #include "sim/simd.h"
 
@@ -122,12 +121,13 @@ void batch_add_fix(const pauli::PauliString& correction, const uint64_t* lanes,
   }
 }
 
-void batch_apply_fix(sim::BatchFrameSim& sim, const sim::NoiseParams& noise,
-                     std::span<const uint32_t> data, const uint64_t* fix_x,
-                     const uint64_t* fix_z, const uint64_t* act) {
+template <typename Lanes>
+void apply_fix(Lanes& lanes, std::span<const uint32_t> data,
+               const uint64_t* fix_x, const uint64_t* fix_z,
+               const uint64_t* act) {
   FTQC_CHECK(fix_x != nullptr || fix_z != nullptr, "a fix needs a side");
-  const size_t words = sim.num_words();
-  if (!batch_any_lane(act, words)) return;
+  const size_t words = lanes.words();
+  if (!lanes.any(act)) return;
   std::vector<uint64_t> fixed(words), resting(words);
   // The lanes that fix data[q], either side.
   const auto lanes_fixing = [&](size_t q) -> const uint64_t* {
@@ -138,29 +138,42 @@ void batch_apply_fix(sim::BatchFrameSim& sim, const sim::NoiseParams& noise,
     return fixed.data();
   };
   for (size_t q = 0; q < data.size(); ++q) {
-    batch_on_gate1(sim, noise, data[q], lanes_fixing(q));
-    if (fix_x != nullptr) sim.inject_x_masked(data[q], fix_x + q * words);
-    if (fix_z != nullptr) sim.inject_z_masked(data[q], fix_z + q * words);
+    lanes.gate1(data[q], lanes_fixing(q));
+    if (fix_x != nullptr) lanes.inject_x(data[q], fix_x + q * words);
+    if (fix_z != nullptr) lanes.inject_z(data[q], fix_z + q * words);
   }
   for (size_t q = 0; q < data.size(); ++q) {
     sim::simd::andnot(resting.data(), act, lanes_fixing(q), words);
-    batch_on_storage(sim, noise, data[q], resting.data());
+    lanes.storage(data[q], resting.data());
   }
 }
 
-void batch_correct_data_block(sim::BatchFrameSim& sim,
-                              const sim::NoiseParams& noise, bool phase_type,
-                              std::span<const uint32_t> data,
-                              const uint64_t* syndrome_rows,
-                              const uint64_t* act_mask) {
+template <typename Lanes>
+void correct_data_block(Lanes& lanes, bool phase_type,
+                        std::span<const uint32_t> data,
+                        const uint64_t* syndrome_rows,
+                        const uint64_t* act_mask) {
   FTQC_CHECK(data.size() == 7, "Hamming correction needs a 7-qubit block");
-  const size_t words = sim.num_words();
-  if (!batch_any_lane(act_mask, words)) return;
+  const size_t words = lanes.words();
+  if (!lanes.any(act_mask)) return;
   std::vector<uint64_t> pos_masks(7 * words);
   batch_decode_positions(syndrome_rows, act_mask, pos_masks.data(), words);
-  batch_apply_fix(sim, noise, data, phase_type ? nullptr : pos_masks.data(),
-                  phase_type ? pos_masks.data() : nullptr, act_mask);
+  apply_fix(lanes, data, phase_type ? nullptr : pos_masks.data(),
+            phase_type ? pos_masks.data() : nullptr, act_mask);
 }
+
+template void apply_fix<BatchLanes>(BatchLanes&, std::span<const uint32_t>,
+                                    const uint64_t*, const uint64_t*,
+                                    const uint64_t*);
+template void apply_fix<FrameLane>(FrameLane&, std::span<const uint32_t>,
+                                   const uint64_t*, const uint64_t*,
+                                   const uint64_t*);
+template void correct_data_block<BatchLanes>(BatchLanes&, bool,
+                                             std::span<const uint32_t>,
+                                             const uint64_t*, const uint64_t*);
+template void correct_data_block<FrameLane>(FrameLane&, bool,
+                                            std::span<const uint32_t>,
+                                            const uint64_t*, const uint64_t*);
 
 void batch_logical_errors(const sim::BatchFrameSim& sim,
                           const codes::LookupDecoder& decoder,
@@ -321,19 +334,6 @@ std::vector<size_t> BatchGadgetRunner::run(
 
 BatchCatRetry::BatchCatRetry(sim::BatchFrameSim& sim) : sim_(sim) {}
 
-uint64_t BatchCatRetry::prepare(BatchGadgetRunner& gadgets,
-                                const sim::Circuit& prep,
-                                std::span<const uint32_t> cat,
-                                std::span<const uint32_t> active_qubits,
-                                const RecoveryPolicy& policy,
-                                const uint64_t* active) {
-  FTQC_CHECK(prep.num_measurements() == 1,
-             "cat prep must measure exactly the check qubit");
-  return run(gadgets, prep, cat, active_qubits, policy.max_cat_attempts,
-             policy.verify_ancilla,
-             policy.herald_reinit && gadgets.noise().p_erase > 0, active);
-}
-
 uint64_t BatchCatRetry::run(BatchGadgetRunner& gadgets,
                             const sim::Circuit& prep,
                             std::span<const uint32_t> block,
@@ -416,158 +416,6 @@ uint64_t BatchCatRetry::run(BatchGadgetRunner& gadgets,
   return failures;
 }
 
-namespace {
-
-// The Fig. 9 cycle on an arbitrary layout, all lanes at once — the batch
-// mirror of SteaneCycleRunner (steane_recovery.cpp). Holds the active-qubit
-// sets (data+anc_a during syndrome-ancilla work, all 21 during
-// verification) so storage-noise accounting matches the serial driver
-// location for location; every derived lane mask is composed with the
-// incoming `active` mask so the cycle nests under a caller's own per-lane
-// control flow.
-class BatchSteaneCycleRunner {
- public:
-  BatchSteaneCycleRunner(sim::BatchFrameSim& sim,
-                         const sim::NoiseParams& noise,
-                         const RecoveryPolicy& policy,
-                         const gf2::Hamming743& hamming,
-                         const SteaneCycleLayout& layout,
-                         const SteaneCycleCircuits& circuits)
-      : sim_(sim),
-        gadgets_(sim, noise),
-        retry_(sim),
-        noise_(noise),
-        policy_(policy),
-        hamming_(hamming),
-        layout_(layout),
-        circuits_(circuits),
-        words_(sim.num_words()) {
-    for (size_t i = 0; i < 7; ++i) {
-      data_and_a_[i] = layout.data[i];
-      data_and_a_[7 + i] = layout.anc_a[i];
-      all_[i] = layout.data[i];
-      all_[7 + i] = layout.anc_a[i];
-      all_[14 + i] = layout.anc_b[i];
-    }
-  }
-
-  void run_cycle(const uint64_t* active) {
-    for (const bool phase_type : {false, true}) {
-      run_batch_repeat_policy(
-          3, words_, policy_.repeat_nontrivial_syndrome, active,
-          [&](const uint64_t* mask, uint64_t* out) {
-            extract_syndrome(phase_type, mask, out);
-          },
-          [&](const uint64_t* syn, const uint64_t* act) {
-            batch_correct_data_block(sim_, noise_, phase_type, layout_.data,
-                                     syn, act);
-          });
-    }
-  }
-
- private:
-  void prepare_verified_zero_ancilla(const uint64_t* lane_mask) {
-    // Fresh |0>_code on the syndrome ancilla. Herald-triggered reinit runs
-    // the shared retry loop: lanes whose ancilla carries any heralded
-    // erasure replay zero_prep_a until clean or the retry budget runs out.
-    // Budget-exhausted lanes keep their last (heralded) block — the serial
-    // path lets verification judge it — and are surfaced through the
-    // abort-mask contract.
-    if (policy_.herald_reinit && noise_.p_erase > 0) {
-      retry_.run(gadgets_, circuits_.zero_prep_a, layout_.anc_a, data_and_a_,
-                 1 + policy_.max_herald_retries, /*check=*/false,
-                 /*herald=*/true, lane_mask);
-    } else {
-      gadgets_.run(circuits_.zero_prep_a, data_and_a_, lane_mask);
-    }
-    if (!policy_.verify_ancilla || policy_.verification_rounds <= 0) return;
-
-    // §3.3: compare against freshly encoded blocks; a lane is fixed only
-    // when EVERY round votes "logically flipped" (serial votes_one ==
-    // rounds).
-    std::vector<uint64_t> votes(words_, ~uint64_t{0});
-    for (int round = 0; round < policy_.verification_rounds; ++round) {
-      gadgets_.run(circuits_.zero_prep_b, all_, lane_mask);
-      gadgets_.run(circuits_.cx_ab, all_, lane_mask);
-      const auto rows = gadgets_.run(circuits_.measure_b, all_, lane_mask);
-      FTQC_CHECK(rows.size() == 7, "destructive measure must read 7 qubits");
-      const uint64_t* flip_rows[7];
-      for (size_t i = 0; i < 7; ++i) flip_rows[i] = sim_.record().row(rows[i]);
-      std::vector<uint64_t> vote(words_);
-      batch_decode_rows(hamming_, flip_rows, /*logical=*/true, vote.data(),
-                        words_);
-      sim::simd::and_into(votes.data(), vote.data(), words_);
-      for (uint32_t q : layout_.anc_b) sim_.reset(q);
-    }
-    if (lane_mask != nullptr) {
-      sim::simd::and_into(votes.data(), lane_mask, words_);
-    }
-    if (!batch_any_lane(votes.data(), words_)) return;
-
-    // Confident the ancilla is (logically) flipped: bitwise fix on the
-    // logical-X support. The serial path runs a 3-NOT circuit through
-    // run_gadget (gate noise on the three targets, storage on the rest of
-    // data+anc_a) and then flips the frame; replay that masked per lane.
-    for (size_t i = 0; i < 3; ++i) {
-      batch_on_gate1(sim_, noise_, layout_.anc_a[i], votes.data());
-    }
-    for (uint32_t q : layout_.data) {
-      batch_on_storage(sim_, noise_, q, votes.data());
-    }
-    for (size_t i = 3; i < 7; ++i) {
-      batch_on_storage(sim_, noise_, layout_.anc_a[i], votes.data());
-    }
-    for (size_t i = 0; i < 3; ++i) {
-      sim_.inject_x_masked(layout_.anc_a[i], votes.data());
-    }
-  }
-
-  // Writes 3 syndrome rows (3 * words words) into `syndrome_rows`.
-  void extract_syndrome(bool phase_type, const uint64_t* lane_mask,
-                        uint64_t* syndrome_rows) {
-    prepare_verified_zero_ancilla(lane_mask);
-    const auto rows =
-        gadgets_.run(circuits_.syndrome[phase_type], data_and_a_, lane_mask);
-    FTQC_CHECK(rows.size() == 7, "syndrome extraction must read 7 qubits");
-
-    const gf2::BitMat& h = hamming_.check_matrix();
-    for (size_t j = 0; j < 3; ++j) {
-      uint64_t* out = syndrome_rows + j * words_;
-      std::fill_n(out, words_, 0);
-      for (size_t i = 0; i < 7; ++i) {
-        if (!h.row(j).get(i)) continue;
-        sim::simd::xor_into(out, sim_.record().row(rows[i]), words_);
-      }
-    }
-    for (uint32_t q : layout_.anc_a) sim_.reset(q);
-  }
-
-  sim::BatchFrameSim& sim_;
-  BatchGadgetRunner gadgets_;
-  BatchCatRetry retry_;
-  const sim::NoiseParams& noise_;
-  const RecoveryPolicy& policy_;
-  const gf2::Hamming743& hamming_;
-  const SteaneCycleLayout& layout_;
-  const SteaneCycleCircuits& circuits_;
-  size_t words_;
-  std::array<uint32_t, 14> data_and_a_{};
-  std::array<uint32_t, 21> all_{};
-};
-
-}  // namespace
-
-void run_batch_steane_cycle(sim::BatchFrameSim& sim,
-                            const sim::NoiseParams& noise,
-                            const RecoveryPolicy& policy,
-                            const gf2::Hamming743& hamming,
-                            const SteaneCycleLayout& layout,
-                            const SteaneCycleCircuits& circuits,
-                            const uint64_t* active) {
-  BatchSteaneCycleRunner(sim, noise, policy, hamming, layout, circuits)
-      .run_cycle(active);
-}
-
 BatchSteaneRecovery::BatchSteaneRecovery(const sim::NoiseParams& noise,
                                          RecoveryPolicy policy, size_t shots,
                                          uint64_t seed)
@@ -593,12 +441,9 @@ void BatchSteaneRecovery::apply_memory_noise(double p) {
 }
 
 void BatchSteaneRecovery::run_cycle() {
-  static const SteaneCycleLayout kLayout{steane_layout::kData,
-                                         steane_layout::kAncA,
-                                         steane_layout::kAncB};
-  static const SteaneCycleCircuits kCircuits = compile_steane_cycle(kLayout);
-  run_batch_steane_cycle(sim_, noise_, policy_, hamming_, kLayout, kCircuits,
-                         /*active=*/nullptr);
+  BatchLanes lanes(sim_, noise_);
+  steane_cycle(lanes, policy_, hamming_, steane_register_cycle(),
+               /*active=*/nullptr);
 }
 
 uint64_t BatchSteaneRecovery::count_frames(bool logical,

@@ -17,14 +17,15 @@ namespace ftqc::ft {
 
 // --- Shared bit-parallel building blocks ------------------------------------
 //
-// Every batched recovery driver (level-1 Steane, the level-2 exRec cycle,
-// the cat-state and flag paths) replays the same ideal gadget circuits on a
-// BatchFrameSim with the §6 noise hooks masked to the lanes that "really"
-// execute the gadget. These helpers are the common substrate — one copy of
-// each lane-mask mechanism (retry a preparation on the lanes that failed
-// it, group lanes by syndrome value, apply a masked Pauli fix with its
-// noise, judge the residual) — so the drivers cannot drift apart on noise
-// accounting or decode conventions.
+// Every recovery cycle (level-1 Steane, the level-2 exRec cycle, the
+// cat-state and flag cycles) is written once over the lane engines of
+// ft/lanes.h and replays its ideal gadget circuits with the §6 noise hooks
+// masked to the lanes that "really" execute each gadget. These helpers are
+// the common word-level substrate — one copy of each lane-mask mechanism
+// (retry a preparation on the lanes that failed it, group lanes by
+// syndrome value, apply a masked Pauli fix with its noise, judge the
+// residual) — so the cycles cannot drift apart on noise accounting or
+// decode conventions.
 
 // True if any lane bit is set in `mask` (words words).
 [[nodiscard]] inline bool batch_any_lane(const uint64_t* mask, size_t words) {
@@ -79,24 +80,26 @@ void batch_agreement_mask(const uint64_t* syn1, const uint64_t* syn2,
                           size_t num_rows, const uint64_t* nontrivial,
                           uint64_t* out, size_t words);
 
-// One full §3.4 repeat-policy round, the control-flow skeleton every batched
-// run_cycle shares: extract the syndrome on the active lanes, stop if every
-// lane read trivial, optionally re-extract on just the nontrivial lanes and
-// keep the agreeing ones, then hand (first syndrome, acting mask) to
-// `correct`. `extract(mask, out)` writes num_rows * words syndrome words for
-// the lanes of `mask` (nullptr = all); `correct(syn, act)` applies the
-// driver's correction (including any pre-correction hooks, e.g. the exRec
-// data-subblock recoveries).
-template <typename ExtractFn, typename CorrectFn>
-void run_batch_repeat_policy(size_t num_rows, size_t words, bool repeat,
-                             const uint64_t* active, ExtractFn&& extract,
-                             CorrectFn&& correct) {
+// One full §3.4 repeat-policy round, the control-flow skeleton every
+// recovery cycle shares, on a lane engine (ft/lanes.h): extract the syndrome
+// on the active lanes, stop if every lane read trivial, optionally
+// re-extract on just the nontrivial lanes and keep the agreeing ones, then
+// hand (first syndrome, acting mask) to `correct`. `extract(mask, out)`
+// writes num_rows * lanes.words() syndrome words for the lanes of `mask`
+// (nullptr = all); `correct(syn, act)` applies the cycle's correction
+// (including any pre-correction hooks, e.g. the exRec data-subblock
+// recoveries).
+template <typename Lanes, typename ExtractFn, typename CorrectFn>
+void run_repeat_policy(Lanes& lanes, size_t num_rows, bool repeat,
+                       const uint64_t* active, ExtractFn&& extract,
+                       CorrectFn&& correct) {
+  const size_t words = lanes.words();
   std::vector<uint64_t> syn1(num_rows * words), syn2(num_rows * words);
   std::vector<uint64_t> nontrivial(words), act(words);
   extract(active, syn1.data());
   batch_nontrivial_mask(syn1.data(), num_rows, active, nontrivial.data(),
                         words);
-  if (!batch_any_lane(nontrivial.data(), words)) return;  // §3.4: no action
+  if (!lanes.any(nontrivial.data())) return;  // §3.4: no action
   if (repeat) {
     // Only the nontrivial lanes pay for (and can be hurt by) the repeat.
     extract(nontrivial.data(), syn2.data());
@@ -161,27 +164,29 @@ void for_each_syndrome_value(uint64_t group, const uint64_t* rows,
 void batch_add_fix(const pauli::PauliString& correction, const uint64_t* lanes,
                    uint64_t* fix_x, uint64_t* fix_z, size_t words);
 
-// The serial data-block fix, bit-sliced — a one-layer Pauli circuit over
-// the data block. On each data[q] in order: gate noise for the lanes that
-// fix it, then the fix itself (X on the lanes of row q of fix_x, Z on those
-// of fix_z; one side, not both, may be nullptr to fix nothing there — the
-// noiseless reference never corrects). Then storage noise on the lanes of `act` that leave
-// data[q] alone. Lanes outside `act` take no fault opportunity at all
-// (§3.4 lanes that deferred, and lanes whose correction is the identity).
-// Every data qubit gets its gate-noise call, even with no lane fixing it.
-void batch_apply_fix(sim::BatchFrameSim& sim, const sim::NoiseParams& noise,
-                     std::span<const uint32_t> data, const uint64_t* fix_x,
-                     const uint64_t* fix_z, const uint64_t* act);
+// A data-block fix on a lane engine — a one-layer Pauli circuit over the
+// data block. On each data[q] in order: gate noise for the lanes that fix
+// it, then the fix itself (X on the lanes of row q of fix_x, Z on those of
+// fix_z; one side, not both, may be nullptr to fix nothing there — the
+// noiseless reference never corrects). Then storage noise on the lanes of
+// `act` that leave data[q] alone. Lanes outside `act` take no fault
+// opportunity at all (§3.4 lanes that deferred, and lanes whose correction
+// is the identity). Every data qubit gets its gate-noise call, even with no
+// lane fixing it.
+template <typename Lanes>
+void apply_fix(Lanes& lanes, std::span<const uint32_t> data,
+               const uint64_t* fix_x, const uint64_t* fix_z,
+               const uint64_t* act);
 
-// The one-Pauli Hamming correction of a Steane block through
-// batch_apply_fix: the lanes of `act_mask` whose 3-row syndrome
-// (`syndrome_rows`, 3*words words) points at a position take an X
-// (phase_type false) or a Z there.
-void batch_correct_data_block(sim::BatchFrameSim& sim,
-                              const sim::NoiseParams& noise, bool phase_type,
-                              std::span<const uint32_t> data,
-                              const uint64_t* syndrome_rows,
-                              const uint64_t* act_mask);
+// The one-Pauli Hamming correction of a Steane block through apply_fix:
+// the lanes of `act_mask` whose 3-row syndrome (`syndrome_rows`,
+// 3 * lanes.words() words) points at a position take an X (phase_type
+// false) or a Z there.
+template <typename Lanes>
+void correct_data_block(Lanes& lanes, bool phase_type,
+                        std::span<const uint32_t> data,
+                        const uint64_t* syndrome_rows,
+                        const uint64_t* act_mask);
 
 // Word-level logical verdict on a data block at qubits [0, n): writes into
 // `out` (sim.num_words() words) the lanes whose residual frame is a logical
@@ -244,24 +249,14 @@ class BatchCatRetry {
  public:
   explicit BatchCatRetry(sim::BatchFrameSim& sim);
 
-  // The §3.3 cat loop. `prep` must measure exactly one qubit (the cat
-  // check); `cat` names the qubits whose frames carry the prepared state
-  // past the retry loop. `active` (nullptr = all) restricts the whole loop
-  // to the lanes whose shot is executing this preparation. A lane fails an
-  // attempt when the check bit flips (policy.verify_ancilla) OR any cat
-  // qubit carries a heralded erasure (policy.herald_reinit, p_erase > 0) —
-  // mirroring the serial discard decision bit for bit. Returns the number
-  // of discarded cats summed over lanes (the serial cats_discarded counter).
-  uint64_t prepare(BatchGadgetRunner& gadgets, const sim::Circuit& prep,
-                   std::span<const uint32_t> cat,
-                   std::span<const uint32_t> active_qubits,
-                   const RecoveryPolicy& policy, const uint64_t* active);
-
-  // The loop itself: at most `attempts` replays of `prep`. A lane fails an
-  // attempt when `check` is set and the prep's one measurement flips, or
-  // when `herald` is set and any qubit of `block` carries a herald; with
-  // neither, the first attempt passes. Returns the failed attempts summed
-  // over lanes.
+  // At most `attempts` replays of `prep`; `block` names the qubits whose
+  // frames carry the prepared state past the loop, and `active` (nullptr =
+  // all) restricts the whole loop to the lanes whose shot is executing this
+  // preparation. A lane fails an attempt when `check` is set and the prep's
+  // one measurement (the §3.3 cat check) flips, or when `herald` is set and
+  // any qubit of `block` carries a herald; with neither, the first attempt
+  // passes. Returns the failed attempts summed over lanes (the serial
+  // cats_discarded counter).
   uint64_t run(BatchGadgetRunner& gadgets, const sim::Circuit& prep,
                std::span<const uint32_t> block,
                std::span<const uint32_t> active_qubits, int attempts,
@@ -273,32 +268,9 @@ class BatchCatRetry {
   std::vector<uint64_t> parked_;  // [block qubit][x|z][word]
 };
 
-// --- The Fig. 9 cycle, bit-parallel -----------------------------------------
-
-// One full fault-tolerant Steane recovery cycle on a caller-owned
-// BatchFrameSim, 64 shots per word, on an arbitrary layout — the batch
-// analogue of run_steane_cycle. `active` (nullptr = all lanes) is the
-// incoming active-lane mask: lanes cleared in it collect no noise, no
-// verification fixes and no corrections, exactly as if their serial shot
-// had skipped the cycle. Every mask the cycle derives internally
-// (verification votes, nontrivial syndromes, §3.4 agreement) is composed
-// with `active`, which is what lets a level-2 driver nest this cycle inside
-// its own per-lane control flow (the exRec interleave).
-//
-// `circuits` must be compile_steane_cycle(layout); precompiling lets the
-// level-2 exRec driver replay 14+ nested cycles per level-2 cycle without
-// rebuilding circuits.
-void run_batch_steane_cycle(sim::BatchFrameSim& sim,
-                            const sim::NoiseParams& noise,
-                            const RecoveryPolicy& policy,
-                            const gf2::Hamming743& hamming,
-                            const SteaneCycleLayout& layout,
-                            const SteaneCycleCircuits& circuits,
-                            const uint64_t* active);
-
-// Bit-parallel SteaneRecovery: one full fault-tolerant recovery cycle
-// (Fig. 9) on 64 shots per word, replayed gadget by gadget on a
-// BatchFrameSim. Statistically equivalent to running `shots` independent
+// Bit-parallel SteaneRecovery: the one Fig. 9 cycle (steane_cycle) on 64
+// shots per word, replayed gadget by gadget on a BatchFrameSim through
+// BatchLanes. Statistically equivalent to running `shots` independent
 // SteaneRecovery instances under the same NoiseParams/RecoveryPolicy:
 //
 //  * the same ideal circuits (steane_circuits.h builders) drive every lane;

@@ -5,6 +5,7 @@
 #include "codes/stabilizer_code.h"
 #include "ft/batch_recovery.h"
 #include "ft/generic_recovery.h"
+#include "ft/lanes.h"
 #include "ft/recovery.h"
 #include "pauli/pauli_string.h"
 #include "sim/batch_frame_sim.h"
@@ -12,14 +13,11 @@
 
 namespace ftqc::ft {
 
-// Bit-parallel GenericShorRecovery: the same cycle at 64 shots per word on
-// the serial driver's CatExtraction. Cats go through BatchCatRetry, and the
-// §3.4 repeat and the correction become lane masking. The correction and
-// the word-level logical verdict (batch_logical_errors) decode each
-// DISTINCT syndrome value among the lanes once; the correction then goes
-// through batch_apply_fix, the draws of batch_correct_data_block. On
-// codes::steane() it makes the serial driver's decisions lane for lane
-// (ShorFingerprint.*).
+// Bit-parallel GenericShorRecovery: the one cat-state cycle (cat_cycle) at
+// 64 shots per word through BatchLanes. Cats go through BatchCatRetry, and
+// the §3.4 repeat and the correction become lane masking. The correction
+// and the word-level logical verdict (batch_logical_errors) decode each
+// DISTINCT syndrome value among the lanes once.
 class BatchGenericShorRecovery {
  public:
   // shots is rounded up to a multiple of 64.
@@ -55,15 +53,9 @@ class BatchGenericShorRecovery {
   [[nodiscard]] sim::BatchFrameSim& frames() { return sim_; }
 
  private:
-  // Writes one syndrome row per generator of `group` (in index order).
-  void extract_syndrome(uint64_t group, const uint64_t* active,
-                        uint64_t* rows);
-  void correct(uint64_t group, const uint64_t* rows, const uint64_t* act);
-
   CatExtraction extraction_;
   sim::BatchFrameSim sim_;
-  BatchGadgetRunner gadgets_;
-  BatchCatRetry retry_;
+  BatchLanes lanes_;
   RecoveryPolicy policy_;
   size_t words_;
   uint64_t cats_discarded_ = 0;

@@ -1,10 +1,15 @@
 #include "ft/concatenated_recovery.h"
 
+#include <algorithm>
+#include <array>
+
 #include "common/check.h"
-#include "ft/gadget_runner.h"
+#include "ft/batch_recovery.h"
+#include "ft/lanes.h"
 #include "ft/steane_circuits.h"
 #include "ft/steane_recovery.h"
 #include "gf2/linalg.h"
+#include "sim/simd.h"
 
 namespace ftqc::ft {
 
@@ -21,6 +26,7 @@ namespace {
 constexpr uint32_t kData = 0;
 constexpr uint32_t kAncA = 49;
 constexpr uint32_t kAncB = 98;
+constexpr uint32_t kBlock = Level2Recovery::kBlock;
 
 // The level-2 |0>_code preparation on the 49-qubit block at `base`.
 sim::Circuit level2_zero_prep(const gf2::Hamming743& hamming, uint32_t base) {
@@ -81,7 +87,6 @@ sim::Circuit level2_zero_prep(const gf2::Hamming743& hamming, uint32_t base) {
 
 const Level2Circuits& level2_circuits() {
   static const Level2Circuits kCircuits = [] {
-    constexpr uint32_t kBlock = Level2Recovery::kBlock;
     const auto scratch_a = level2_subblock(Level2Recovery::kScratchA, 0);
     const auto scratch_b = level2_subblock(Level2Recovery::kScratchB, 0);
     Level2Circuits c;
@@ -107,31 +112,291 @@ const Level2Circuits& level2_circuits() {
     phase.tick();
     for (const uint32_t base : {kData, kAncA}) {
       for (size_t sub = 0; sub < 7; ++sub) {
-        Level2Circuits::SubblockCycle& cy =
-            c.subblock_cycles[base == kData ? 0 : 1][sub];
-        cy.layout =
-            SteaneCycleLayout{level2_subblock(base, sub), scratch_a, scratch_b};
-        cy.circuits = compile_steane_cycle(cy.layout);
+        const SteaneCycleLayout layout{level2_subblock(base, sub), scratch_a,
+                                       scratch_b};
+        c.subblock_cycles[base == kData ? 0 : 1][sub] =
+            compile_steane_cycle(layout);
       }
     }
+    for (uint32_t q = 0; q < kAncB; ++q) c.data_and_a.push_back(q);
+    for (uint32_t q = 0; q < kAncB + kBlock; ++q) c.all.push_back(q);
     return c;
   }();
   return kCircuits;
 }
 
+void level2_decode_rows(const gf2::Hamming743& hamming,
+                        const uint64_t* const rows[49], uint64_t* logicals,
+                        uint64_t* out, size_t words) {
+  for (size_t sub = 0; sub < 7; ++sub) {
+    batch_decode_rows(hamming, rows + 7 * sub, /*logical=*/true,
+                      logicals + sub * words, words);
+  }
+  const uint64_t* logical_rows[7];
+  for (size_t sub = 0; sub < 7; ++sub) {
+    logical_rows[sub] = logicals + sub * words;
+  }
+  batch_decode_rows(hamming, logical_rows, /*logical=*/true, out, words);
+}
+
+namespace {
+
+// The level-2 cycle on a lane engine.
+template <typename Lanes>
+class Level2Cycle {
+ public:
+  Level2Cycle(Lanes& lanes, const RecoveryPolicy& policy,
+              const gf2::Hamming743& hamming)
+      : lanes_(lanes),
+        policy_(policy),
+        hamming_(hamming),
+        circuits_(level2_circuits()),
+        words_(lanes.words()) {}
+
+  void run() {
+    const bool data_recoveries =
+        policy_.level2_discipline == Level2Discipline::kExRec &&
+        policy_.exrec_data_recoveries;
+    for (const bool phase_type : {false, true}) {
+      run_repeat_policy(
+          lanes_, kSyndromeRows, policy_.repeat_nontrivial_syndrome,
+          /*active=*/nullptr,
+          [&](const uint64_t* mask, uint64_t* out) {
+            extract_syndrome(phase_type, mask, out);
+          },
+          [&](const uint64_t* syn, const uint64_t* act) {
+            if (data_recoveries && lanes_.any(act)) {
+              // Trailing leg of the extended rectangle: level-1 recoveries
+              // on the data subblocks between extraction and correction,
+              // only on the lanes that are about to correct. They clear the
+              // physical errors the extraction saw; correct() then applies
+              // the top-level logical fix only.
+              lanes_.marker("exrec:data", act);
+              run_subblock_recoveries(kData, act);
+              lanes_.marker("exrec:data:end", act);
+            }
+            correct(phase_type, syn, act);
+          });
+    }
+  }
+
+ private:
+  // Three level-1 Hamming syndrome rows per subblock (rows [3*sub,
+  // 3*sub+3)), then the three level-2 rows (rows [21, 24)). The §3.4
+  // repeat-policy equality compares exactly these bits.
+  static constexpr size_t kSyndromeRows = 24;
+
+  // exRec interleave: one verified level-1 recovery cycle per 7-qubit
+  // subblock of the block starting at `base`, on the shared scratch
+  // ancillas; the lane mask threads through so only the lanes executing
+  // this step collect the interleave's faults and corrections.
+  void run_subblock_recoveries(uint32_t base, const uint64_t* lane_mask) {
+    for (const SteaneCycleCircuits& cycle :
+         circuits_.subblock_cycles[base == kData ? 0 : 1]) {
+      steane_cycle(lanes_, policy_, hamming_, cycle, lane_mask);
+    }
+  }
+
+  void prepare_verified_zero_ancilla(const uint64_t* lane_mask) {
+    lanes_.marker("prep:A", lane_mask);
+    lanes_.run(circuits_.prep_a, circuits_.data_and_a, lane_mask);
+    lanes_.marker("prep:A:end", lane_mask);
+    if (policy_.level2_discipline == Level2Discipline::kExRec) {
+      // Extended rectangle: scrub every ancilla subblock with a level-1
+      // recovery before the §3.3 verification, so a fan-out fault pair can
+      // no longer seed two subblocks that later defeat the hierarchy.
+      lanes_.marker("exrec:A", lane_mask);
+      run_subblock_recoveries(kAncA, lane_mask);
+      lanes_.marker("exrec:A:end", lane_mask);
+    }
+    if (!policy_.verify_ancilla) return;
+    lanes_.marker("verify", lane_mask);
+    if (policy_.verification_rounds > 0) verify_zero_ancilla(lane_mask);
+    lanes_.marker("verify:end", lane_mask);
+  }
+
+  void verify_zero_ancilla(const uint64_t* lane_mask) {
+    // A lane is fixed only when EVERY round decodes the measured block
+    // hierarchically to "logically flipped".
+    std::vector<uint64_t> votes(words_, ~uint64_t{0});
+    std::vector<uint64_t> logicals(7 * words_), vote(words_);
+    for (int round = 0; round < policy_.verification_rounds; ++round) {
+      lanes_.run(circuits_.prep_b, circuits_.all, lane_mask);
+      const uint64_t* flips =
+          lanes_.run(circuits_.verify, circuits_.all, lane_mask);
+      const uint64_t* flip_rows[49];
+      for (size_t i = 0; i < kBlock; ++i) flip_rows[i] = flips + i * words_;
+      level2_decode_rows(hamming_, flip_rows, logicals.data(), vote.data(),
+                         words_);
+      sim::simd::and_into(votes.data(), vote.data(), words_);
+      for (uint32_t i = 0; i < kBlock; ++i) lanes_.reset(kAncB + i);
+    }
+    if (lane_mask != nullptr) {
+      sim::simd::and_into(votes.data(), lane_mask, words_);
+    }
+    if (!lanes_.any(votes.data())) return;
+
+    // Logical flip of the level-2 ancilla: logical X on subblocks {0,1,2},
+    // each a 3-qubit bitwise NOT on the subblock's logical-X support — a
+    // one-layer circuit of nine NOTs (gate noise on the targets, storage on
+    // the rest of data+ancilla A) that also flips the frame.
+    std::array<bool, kAncB> is_target{};
+    std::vector<uint32_t> targets;
+    for (size_t sub : {size_t{0}, size_t{1}, size_t{2}}) {
+      const auto q = level2_subblock(kAncA, sub);
+      for (size_t i : {size_t{0}, size_t{1}, size_t{2}}) {
+        targets.push_back(q[i]);
+        is_target[q[i]] = true;
+      }
+    }
+    for (uint32_t q : targets) lanes_.gate1(q, votes.data());
+    for (uint32_t q : circuits_.data_and_a) {
+      if (!is_target[q]) lanes_.storage(q, votes.data());
+    }
+    for (uint32_t q : targets) lanes_.inject_x(q, votes.data());
+  }
+
+  void extract_syndrome(bool phase_type, const uint64_t* lane_mask,
+                        uint64_t* rows24) {
+    prepare_verified_zero_ancilla(lane_mask);
+    lanes_.marker("extract", lane_mask);
+    const uint64_t* flips = lanes_.run(circuits_.extract[phase_type],
+                                       circuits_.data_and_a, lane_mask);
+    for (uint32_t i = 0; i < kBlock; ++i) lanes_.reset(kAncA + i);
+    lanes_.marker("extract:end", lane_mask);
+
+    // One measurement, both levels (§5): per-subblock Hamming syndrome rows
+    // plus the level-2 syndrome rows over the bit-sliced subblock logical
+    // values. Copied out of the record immediately: nested gadget replays
+    // (the exRec data recoveries, the §3.4 repeat) drop the record.
+    const gf2::BitMat& h = hamming_.check_matrix();
+    std::vector<uint64_t> logicals(7 * words_);
+    for (size_t sub = 0; sub < 7; ++sub) {
+      const uint64_t* sub_rows[7];
+      for (size_t i = 0; i < 7; ++i) {
+        sub_rows[i] = flips + (7 * sub + i) * words_;
+      }
+      for (size_t j = 0; j < 3; ++j) {
+        uint64_t* out = rows24 + (3 * sub + j) * words_;
+        std::fill_n(out, words_, 0);
+        for (size_t i = 0; i < 7; ++i) {
+          if (!h.row(j).get(i)) continue;
+          sim::simd::xor_into(out, sub_rows[i], words_);
+        }
+      }
+      batch_decode_rows(hamming_, sub_rows, /*logical=*/true,
+                        logicals.data() + sub * words_, words_);
+    }
+    for (size_t j = 0; j < 3; ++j) {
+      uint64_t* out = rows24 + (21 + j) * words_;
+      std::fill_n(out, words_, 0);
+      for (size_t sub = 0; sub < 7; ++sub) {
+        if (!h.row(j).get(sub)) continue;
+        sim::simd::xor_into(out, logicals.data() + sub * words_, words_);
+      }
+    }
+  }
+
+  void correct(bool phase_type, const uint64_t* rows24,
+               const uint64_t* act_mask) {
+    if (!lanes_.any(act_mask)) return;
+    // With interleaved data recoveries the per-subblock physical errors
+    // were already scrubbed between extraction and this point; re-applying
+    // the extraction's level-1 corrections would re-inject them, so only
+    // the top-level logical fix remains ours to apply.
+    const bool delegate_sub_corrections =
+        policy_.level2_discipline == Level2Discipline::kExRec &&
+        policy_.exrec_data_recoveries;
+
+    // Per-qubit target masks: l1 = level-1 physical fixes, l2 = the level-2
+    // logical fix (subblocks' logical-X/Z support {0,1,2}). A lane can hit
+    // the same qubit through both — the fix circuit then carries two gates
+    // (two fault opportunities) whose frame shifts cancel, so gate noise is
+    // applied per component and the injection uses the XOR.
+    std::vector<uint64_t> l1(kBlock * words_, 0), l2(kBlock * words_, 0);
+    std::vector<uint64_t> pos(7 * words_);
+    if (!delegate_sub_corrections) {
+      for (size_t sub = 0; sub < 7; ++sub) {
+        batch_decode_positions(rows24 + 3 * sub * words_, act_mask,
+                               pos.data(), words_);
+        std::copy_n(pos.data(), 7 * words_, l1.data() + 7 * sub * words_);
+      }
+    }
+    batch_decode_positions(rows24 + 21 * words_, act_mask, pos.data(),
+                           words_);
+    for (size_t bad = 0; bad < 7; ++bad) {
+      for (size_t i = 0; i < 3; ++i) {
+        std::copy_n(pos.data() + bad * words_, words_,
+                    l2.data() + (7 * bad + i) * words_);
+      }
+    }
+
+    // Lanes with at least one target; lanes of act_mask whose syndrome
+    // decoded to "no error" run no fix circuit at all.
+    std::vector<uint64_t> has(words_, 0);
+    for (size_t q = 0; q < kBlock; ++q) {
+      sim::simd::or_into(has.data(), l1.data() + q * words_, words_);
+      sim::simd::or_into(has.data(), l2.data() + q * words_, words_);
+    }
+    if (!lanes_.any(has.data())) return;
+
+    // The fix circuit: the level-1 gates, then the level-2 gates, then
+    // storage on the rest of the data block.
+    for (uint32_t q = 0; q < kBlock; ++q) {
+      const uint64_t* a = l1.data() + q * words_;
+      if (lanes_.any(a)) lanes_.gate1(q, a);
+    }
+    for (uint32_t q = 0; q < kBlock; ++q) {
+      const uint64_t* b = l2.data() + q * words_;
+      if (lanes_.any(b)) lanes_.gate1(q, b);
+    }
+    std::vector<uint64_t> mask(words_);
+    for (uint32_t q = 0; q < kBlock; ++q) {
+      const uint64_t* a = l1.data() + q * words_;
+      const uint64_t* b = l2.data() + q * words_;
+      // has & ~a & ~b, two register-wide passes.
+      sim::simd::andnot(mask.data(), has.data(), a, words_);
+      sim::simd::andnot(mask.data(), mask.data(), b, words_);
+      lanes_.storage(q, mask.data());
+    }
+    for (uint32_t q = 0; q < kBlock; ++q) {
+      std::copy_n(l1.data() + q * words_, words_, mask.data());
+      sim::simd::xor_into(mask.data(), l2.data() + q * words_, words_);
+      if (!lanes_.any(mask.data())) continue;
+      if (phase_type) {
+        lanes_.inject_z(q, mask.data());
+      } else {
+        lanes_.inject_x(q, mask.data());
+      }
+    }
+  }
+
+  Lanes& lanes_;
+  const RecoveryPolicy& policy_;
+  const gf2::Hamming743& hamming_;
+  const Level2Circuits& circuits_;
+  size_t words_;
+};
+
+}  // namespace
+
+template <typename Lanes>
+void level2_cycle(Lanes& lanes, const RecoveryPolicy& policy,
+                  const gf2::Hamming743& hamming) {
+  Level2Cycle<Lanes>(lanes, policy, hamming).run();
+}
+
+template void level2_cycle<BatchLanes>(BatchLanes&, const RecoveryPolicy&,
+                                       const gf2::Hamming743&);
+template void level2_cycle<FrameLane>(FrameLane&, const RecoveryPolicy&,
+                                      const gf2::Hamming743&);
+
 Level2Recovery::Level2Recovery(const sim::NoiseParams& noise,
                                RecoveryPolicy policy, uint64_t seed)
     : frame_(kNumQubits, seed),
-      noise_(noise),
       policy_(policy),
       stochastic_(noise),
-      injector_(&stochastic_) {
-  for (uint32_t q = 0; q < kAncB; ++q) data_and_a_.push_back(q);
-  // The scratch ancillas [kScratchA, kNumQubits) are alive only inside the
-  // interleaved level-1 cycles, which do their own storage accounting; the
-  // level-2 active set stays the three 49-qubit blocks.
-  for (uint32_t q = 0; q < kAncB + kBlock; ++q) all_.push_back(q);
-}
+      injector_(&stochastic_) {}
 
 void Level2Recovery::reset() { frame_.clear(); }
 
@@ -148,205 +413,19 @@ void Level2Recovery::apply_memory_noise(double p) {
   for (uint32_t q = 0; q < kBlock; ++q) frame_.depolarize1(q, p);
 }
 
-bool Level2Recovery::DecodedSyndrome::any() const {
-  if (top.any()) return true;
-  for (const auto& s : sub) {
-    if (s.any()) return true;
-  }
-  return false;
-}
-
-bool Level2Recovery::DecodedSyndrome::operator==(
-    const DecodedSyndrome& other) const {
-  if (!(top == other.top)) return false;
-  for (size_t i = 0; i < 7; ++i) {
-    if (!(sub[i] == other.sub[i])) return false;
-  }
-  return true;
-}
-
-void Level2Recovery::run_subblock_recoveries(uint32_t base) {
-  FTQC_CHECK(base == kData || base == kAncA,
-             "subblock recoveries run on the data block or ancilla A");
-  for (const Level2Circuits::SubblockCycle& cy :
-       level2_circuits().subblock_cycles[base == kData ? 0 : 1]) {
-    run_steane_cycle(frame_, *injector_, policy_, hamming_, cy.layout,
-                     cy.circuits);
-  }
-}
-
-void Level2Recovery::prepare_verified_zero_ancilla() {
-  const Level2Circuits& circuits = level2_circuits();
-  injector_->on_marker("prep:A");
-  run_gadget(frame_, circuits.prep_a, *injector_, data_and_a_);
-  injector_->on_marker("prep:A:end");
-  if (policy_.level2_discipline == Level2Discipline::kExRec) {
-    // Extended rectangle: scrub every ancilla subblock with a level-1
-    // recovery before the §3.3 verification, so a fan-out fault pair can no
-    // longer seed two subblocks that later defeat the hierarchy.
-    injector_->on_marker("exrec:A");
-    run_subblock_recoveries(kAncA);
-    injector_->on_marker("exrec:A:end");
-  }
-  if (!policy_.verify_ancilla) return;
-  injector_->on_marker("verify");
-
-  int votes_one = 0;
-  int rounds = 0;
-  for (int round = 0; round < policy_.verification_rounds; ++round) {
-    run_gadget(frame_, circuits.prep_b, *injector_, all_);
-    const auto flips = run_gadget(frame_, circuits.verify, *injector_, all_);
-    // Hierarchical decode of the measured block.
-    gf2::BitVec logicals(7);
-    for (size_t sub = 0; sub < 7; ++sub) {
-      gf2::BitVec word(7);
-      for (size_t i = 0; i < 7; ++i) word.set(i, flips[7 * sub + i] != 0);
-      logicals.set(sub, hamming_.decode_logical(word));
-    }
-    votes_one += hamming_.decode_logical(logicals) ? 1 : 0;
-    ++rounds;
-    for (uint32_t i = 0; i < kBlock; ++i) frame_.reset(kAncB + i);
-  }
-  if (votes_one == rounds && rounds > 0) {
-    // Logical flip of the level-2 ancilla: logical X on subblocks {0,1,2},
-    // each a 3-qubit bitwise NOT on the subblock's logical-X support.
-    sim::Circuit fix;
-    std::vector<uint32_t> touched;
-    for (size_t sub : {size_t{0}, size_t{1}, size_t{2}}) {
-      const auto q = level2_subblock(kAncA, sub);
-      for (size_t i : {size_t{0}, size_t{1}, size_t{2}}) {
-        fix.x(q[i]);
-        touched.push_back(q[i]);
-      }
-    }
-    fix.tick();
-    run_gadget(frame_, fix, *injector_, data_and_a_);
-    for (uint32_t q : touched) frame_.inject_x(q);
-  }
-  injector_->on_marker("verify:end");
-}
-
-Level2Recovery::DecodedSyndrome Level2Recovery::extract_syndrome(
-    bool phase_type) {
-  prepare_verified_zero_ancilla();
-  injector_->on_marker("extract");
-
-  const auto flips = run_gadget(frame_, level2_circuits().extract[phase_type],
-                                *injector_, data_and_a_);
-  for (uint32_t i = 0; i < kBlock; ++i) frame_.reset(kAncA + i);
-  injector_->on_marker("extract:end");
-
-  // One measurement, both levels (§5): per-subblock Hamming syndromes plus
-  // the level-2 syndrome of the subblock logical values.
-  DecodedSyndrome out;
-  gf2::BitVec logicals(7);
-  for (size_t sub = 0; sub < 7; ++sub) {
-    gf2::BitVec word(7);
-    for (size_t i = 0; i < 7; ++i) word.set(i, flips[7 * sub + i] != 0);
-    out.sub[sub] = hamming_.syndrome(word);
-    logicals.set(sub, hamming_.decode_logical(word));
-  }
-  out.top = hamming_.syndrome(logicals);
-  return out;
-}
-
-void Level2Recovery::correct(bool phase_type, const DecodedSyndrome& syndrome) {
-  // With interleaved data recoveries the per-subblock physical errors were
-  // already scrubbed between extraction and this point; re-applying the
-  // extraction's level-1 corrections would re-inject them, so only the
-  // top-level logical fix remains ours to apply.
-  const bool delegate_sub_corrections =
-      policy_.level2_discipline == Level2Discipline::kExRec &&
-      policy_.exrec_data_recoveries;
-  sim::Circuit fix;
-  std::vector<uint32_t> targets;
-  if (!delegate_sub_corrections) {
-    // Level-1 corrections: one physical Pauli per flagged subblock.
-    for (size_t sub = 0; sub < 7; ++sub) {
-      const size_t pos = hamming_.error_position(syndrome.sub[sub]);
-      if (pos >= 7) continue;
-      const uint32_t q = level2_subblock(kData, sub)[pos];
-      if (phase_type) {
-        fix.z(q);
-      } else {
-        fix.x(q);
-      }
-      targets.push_back(q);
-    }
-  }
-  // Level-2 correction: a logical Pauli on the flagged subblock.
-  const size_t bad_sub = hamming_.error_position(syndrome.top);
-  if (bad_sub < 7) {
-    const auto q = level2_subblock(kData, bad_sub);
-    for (size_t i : {size_t{0}, size_t{1}, size_t{2}}) {
-      if (phase_type) {
-        fix.z(q[i]);
-      } else {
-        fix.x(q[i]);
-      }
-      targets.push_back(q[i]);
-    }
-  }
-  if (targets.empty()) return;
-  fix.tick();
-  std::vector<uint32_t> data_only;
-  for (uint32_t q = 0; q < kBlock; ++q) data_only.push_back(q);
-  run_gadget(frame_, fix, *injector_, data_only);
-  for (uint32_t q : targets) {
-    if (phase_type) {
-      frame_.inject_z(q);
-    } else {
-      frame_.inject_x(q);
-    }
-  }
-}
-
 void Level2Recovery::run_cycle() {
-  const auto correct_exrec = [this](bool phase_type,
-                                    const DecodedSyndrome& syndrome) {
-    if (policy_.level2_discipline == Level2Discipline::kExRec &&
-        policy_.exrec_data_recoveries) {
-      // Optional trailing leg of the extended rectangle: level-1 recoveries
-      // on the data subblocks between extraction and correction. They clear
-      // the physical errors the extraction saw; correct() then applies the
-      // top-level logical fix only.
-      injector_->on_marker("exrec:data");
-      run_subblock_recoveries(kData);
-      injector_->on_marker("exrec:data:end");
-    }
-    correct(phase_type, syndrome);
-  };
-  for (const bool phase_type : {false, true}) {
-    const DecodedSyndrome syndrome = extract_syndrome(phase_type);
-    if (!syndrome.any()) continue;
-    if (policy_.repeat_nontrivial_syndrome) {
-      const DecodedSyndrome again = extract_syndrome(phase_type);
-      if (again == syndrome) correct_exrec(phase_type, syndrome);
-    } else {
-      correct_exrec(phase_type, syndrome);
-    }
-  }
-}
-
-bool Level2Recovery::hierarchical_decode(bool phase_type) const {
-  gf2::BitVec logicals(7);
-  for (size_t sub = 0; sub < 7; ++sub) {
-    gf2::BitVec word(7);
-    for (size_t i = 0; i < 7; ++i) {
-      const size_t q = 7 * sub + i;
-      word.set(i, phase_type ? frame_.z_frame().get(q) : frame_.x_frame().get(q));
-    }
-    logicals.set(sub, hamming_.decode_logical(word));
-  }
-  return hamming_.decode_logical(logicals);
+  FrameLane lane(frame_, *injector_);
+  level2_cycle(lane, policy_, hamming_);
 }
 
 bool Level2Recovery::logical_x_error() const {
-  return hierarchical_decode(/*phase_type=*/false);
+  return level2_decode_shot(
+      hamming_, [&](size_t q) { return frame_.x_frame().get(q); });
 }
 
 bool Level2Recovery::logical_z_error() const {
-  return hierarchical_decode(/*phase_type=*/true);
+  return level2_decode_shot(
+      hamming_, [&](size_t q) { return frame_.z_frame().get(q); });
 }
 
 }  // namespace ftqc::ft

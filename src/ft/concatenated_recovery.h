@@ -19,10 +19,9 @@ namespace ftqc::ft {
                                                       size_t sub);
 
 // Every circuit a level-2 cycle replays, built once (thread-safe static
-// init; read-only afterwards) and read by both the serial and the batch
-// driver, so the engines replay the exact same gadgets. The exhaustive
-// fault scans replay a level-2 cycle ~200k times, and the batch engine
-// amortizes the one build over every block of every sweep.
+// init; read-only afterwards) and read by both lane engines. The
+// exhaustive fault scans replay a level-2 cycle ~200k times, and the batch
+// engine amortizes the one build over every block of every sweep.
 struct Level2Circuits {
   // Level-2 |0>_code preparations on ancilla A and B: seven level-1
   // |0>_code preparations followed by the Fig. 3 structure applied with
@@ -35,14 +34,47 @@ struct Level2Circuits {
   std::array<sim::Circuit, 2> extract;
   // The exRec interleave: one level-1 cycle per 7-qubit subblock on the
   // shared scratch ancillas, [0] on the data block, [1] on ancilla A.
-  struct SubblockCycle {
-    SteaneCycleLayout layout;
-    SteaneCycleCircuits circuits;
-  };
-  std::array<std::array<SubblockCycle, 7>, 2> subblock_cycles;
+  std::array<std::array<SteaneCycleCircuits, 7>, 2> subblock_cycles;
+  // Storage-accounting sets: data + ancilla A, and all three 49-qubit
+  // blocks. The scratch ancillas are alive only inside the interleaved
+  // level-1 cycles, which do their own accounting.
+  std::vector<uint32_t> data_and_a;
+  std::vector<uint32_t> all;
 };
 
 [[nodiscard]] const Level2Circuits& level2_circuits();
+
+// One full two-level recovery cycle on the level-2 register (layout below),
+// on either lane engine (ft/lanes.h): Level2Recovery and BatchLevel2Recovery
+// both run it. Subblock syndromes, the level-2 syndrome and the §3.4
+// equality are bit-sliced: 24 rows, three level-1 Hamming syndrome rows per
+// subblock, then the three level-2 rows. The sub-gadgets are announced as
+// markers ("prep:A", "exrec:A", "verify", "extract", "exrec:data", each
+// closed by a ":end" marker).
+template <typename Lanes>
+void level2_cycle(Lanes& lanes, const RecoveryPolicy& policy,
+                  const gf2::Hamming743& hamming);
+
+// Hierarchical decode of 49 bit-sliced rows of `words` words (record flips
+// or residual frames): writes the seven subblock logical-value words into
+// `logicals` (7 * words) and the level-2 logical decode into `out`.
+void level2_decode_rows(const gf2::Hamming743& hamming,
+                        const uint64_t* const rows[49], uint64_t* logicals,
+                        uint64_t* out, size_t words);
+
+// Hierarchical ideal decode of one shot's residual on the 49-qubit data
+// block: `flip(q)` is the frame bit of data qubit q on the side decoded.
+template <typename Flip>
+[[nodiscard]] bool level2_decode_shot(const gf2::Hamming743& hamming,
+                                      Flip flip) {
+  gf2::BitVec logicals(7);
+  for (size_t sub = 0; sub < 7; ++sub) {
+    gf2::BitVec word(7);
+    for (size_t i = 0; i < 7; ++i) word.set(i, flip(7 * sub + i));
+    logicals.set(sub, hamming.decode_logical(word));
+  }
+  return hamming.decode_logical(logicals);
+}
 
 // Fault-tolerant recovery for a LEVEL-2 concatenated Steane block (§5,
 // Fig. 14): 49 data qubits arranged as seven level-1 subblocks. Because the
@@ -65,7 +97,7 @@ struct Level2Circuits {
 // extended-rectangle discipline instead: after the logical fan-out layers
 // of the ancilla-A preparation (and, with exrec_data_recoveries, between
 // extraction and correction on the data block) a full verified level-1
-// Steane recovery cycle (run_steane_cycle) is interleaved on every 7-qubit
+// Steane recovery cycle (steane_cycle) is interleaved on every 7-qubit
 // subblock, scrubbing physical errors before they can pair up across
 // subblocks. The seven subblock recoveries are physically concurrent under
 // the §6 maximal-parallelism assumption, so each accounts storage noise
@@ -103,32 +135,11 @@ class Level2Recovery {
   [[nodiscard]] sim::FrameSim& frame() { return frame_; }
 
  private:
-  struct DecodedSyndrome {
-    // Level-1 Hamming syndrome per subblock (7 entries, 3 bits each).
-    std::array<gf2::BitVec, 7> sub;
-    // Level-2 Hamming syndrome over the subblock logical values.
-    gf2::BitVec top;
-    [[nodiscard]] bool any() const;
-    [[nodiscard]] bool operator==(const DecodedSyndrome& other) const;
-  };
-
-  // exRec interleave: one verified level-1 recovery cycle per 7-qubit
-  // subblock of the block starting at `base`, on the shared scratch
-  // ancillas.
-  void run_subblock_recoveries(uint32_t base);
-  void prepare_verified_zero_ancilla();
-  [[nodiscard]] DecodedSyndrome extract_syndrome(bool phase_type);
-  void correct(bool phase_type, const DecodedSyndrome& syndrome);
-  [[nodiscard]] bool hierarchical_decode(bool phase_type) const;
-
   sim::FrameSim frame_;
-  sim::NoiseParams noise_;
   RecoveryPolicy policy_;
   gf2::Hamming743 hamming_;
   StochasticInjector stochastic_;
   NoiseInjector* injector_;
-  std::vector<uint32_t> data_and_a_;
-  std::vector<uint32_t> all_;
 };
 
 }  // namespace ftqc::ft

@@ -4,8 +4,10 @@
 #include <span>
 
 #include "common/check.h"
-#include "ft/gadget_runner.h"
+#include "ft/batch_recovery.h"
+#include "ft/lanes.h"
 #include "ft/steane_circuits.h"
+#include "sim/simd.h"
 
 namespace ftqc::ft {
 
@@ -77,6 +79,77 @@ CatExtraction::CatExtraction(const codes::StabilizerCode& code)
   }
 }
 
+namespace {
+
+// Writes one syndrome row per generator of `group` (in index order) for the
+// lanes of `active`; returns the discarded cats.
+template <typename Lanes>
+uint64_t extract_cat_syndrome(Lanes& lanes, const CatExtraction& extraction,
+                              const RecoveryPolicy& policy, uint64_t group,
+                              const uint64_t* active, uint64_t* rows) {
+  const size_t words = lanes.words();
+  uint64_t discarded = 0;
+  for (uint64_t rest = group; rest != 0; rest &= rest - 1, rows += words) {
+    const CatExtraction::Generator& circuits =
+        extraction.generators[__builtin_ctzll(rest)];
+    const std::span<const uint32_t> cat(extraction.cat.data(),
+                                        circuits.width);
+    // A lane fails a cat when its check bit flips (§3.3) or, with herald
+    // reinit, when any cat qubit carries a heralded erasure — a failure the
+    // check bit cannot see. An exhausted budget uses the last cat.
+    discarded += lanes.retry(circuits.prep, cat, extraction.all_qubits,
+                             policy.max_cat_attempts, policy.verify_ancilla,
+                             policy.herald_reinit && lanes.may_herald(),
+                             active);
+    const uint64_t* readout =
+        lanes.run(circuits.readout, extraction.all_qubits, active);
+    // The syndrome bit is the parity of the `width` readout bits.
+    std::fill_n(rows, words, 0);
+    for (size_t r = 0; r < circuits.width; ++r) {
+      sim::simd::xor_into(rows, readout + r * words, words);
+    }
+  }
+  return discarded;
+}
+
+}  // namespace
+
+template <typename Lanes>
+uint64_t cat_cycle(Lanes& lanes, const CatExtraction& extraction,
+                   const RecoveryPolicy& policy) {
+  const size_t words = lanes.words();
+  const size_t n = extraction.data.size();
+  uint64_t discarded = 0;
+  for (const uint64_t group : extraction.groups) {
+    run_repeat_policy(
+        lanes, static_cast<size_t>(__builtin_popcountll(group)),
+        policy.repeat_nontrivial_syndrome, /*active=*/nullptr,
+        [&](const uint64_t* mask, uint64_t* out) {
+          discarded += extract_cat_syndrome(lanes, extraction, policy, group,
+                                            mask, out);
+        },
+        [&](const uint64_t* syn, const uint64_t* act) {
+          if (!lanes.any(act)) return;
+          // Each distinct syndrome value decodes once; the fix is one layer
+          // of Pauli gates over the data block.
+          std::vector<uint64_t> fix_x(n * words), fix_z(n * words);
+          for_each_syndrome_value(
+              group, syn, act, words,
+              [&](uint64_t value, const uint64_t* lanes_reading) {
+                batch_add_fix(extraction.decoder.decode(value), lanes_reading,
+                              fix_x.data(), fix_z.data(), words);
+              });
+          apply_fix(lanes, extraction.data, fix_x.data(), fix_z.data(), act);
+        });
+  }
+  return discarded;
+}
+
+template uint64_t cat_cycle<BatchLanes>(BatchLanes&, const CatExtraction&,
+                                        const RecoveryPolicy&);
+template uint64_t cat_cycle<FrameLane>(FrameLane&, const CatExtraction&,
+                                       const RecoveryPolicy&);
+
 bool CatExtraction::logical_error(const PauliString& residual) const {
   const uint64_t syndrome = code.syndrome(residual).to_u64();
   PauliString corrected = residual;
@@ -113,71 +186,9 @@ void GenericShorRecovery::apply_memory_noise(double p) {
   for (const uint32_t q : extraction_.data) frame_.depolarize1(q, p);
 }
 
-bool GenericShorRecovery::measure_generator(size_t g) {
-  const CatExtraction::Generator& circuits = extraction_.generators[g];
-  const std::span<const uint32_t> cat(extraction_.cat.data(), circuits.width);
-  for (int attempt = 0; attempt < policy_.max_cat_attempts; ++attempt) {
-    for (const uint32_t q : cat) frame_.reset(q);
-    frame_.reset(extraction_.check);
-    const auto record = run_gadget(frame_, circuits.prep, *injector_,
-                                   extraction_.all_qubits);
-    // Reference check outcome is 0 (the cat bits agree); a flip means the
-    // verification failed and the cat is discarded (§3.3). A heralded
-    // erasure on a cat qubit is a failure the check bit cannot see — the
-    // qubit is maximally mixed — so the herald joins the discard decision.
-    bool heralded = false;
-    if (policy_.herald_reinit) {
-      for (const uint32_t q : cat) heralded = heralded || frame_.is_erased(q);
-    }
-    const bool failed = (policy_.verify_ancilla && record[0] != 0) || heralded;
-    if (!failed) break;
-    ++cats_discarded_;
-  }
-  // An exhausted retry budget uses the last cat unverified.
-  const auto flips = run_gadget(frame_, circuits.readout, *injector_,
-                                extraction_.all_qubits);
-  bool parity = false;
-  for (const uint8_t f : flips) parity ^= (f != 0);
-  return parity;
-}
-
-uint64_t GenericShorRecovery::extract_syndrome(uint64_t group) {
-  uint64_t syndrome = 0;
-  for (uint64_t rest = group; rest != 0; rest &= rest - 1) {
-    const auto g = static_cast<size_t>(__builtin_ctzll(rest));
-    if (measure_generator(g)) syndrome |= uint64_t{1} << g;
-  }
-  return syndrome;
-}
-
-void GenericShorRecovery::correct(uint64_t syndrome) {
-  // The fix is one layer of Pauli gates over the data block: gate noise
-  // (run_gadget's hook order) and the frame shift (the noiseless run never
-  // corrects) on each corrected qubit, then storage noise on the rest.
-  const PauliString correction = extraction_.decoder.decode(syndrome);
-  for (const uint32_t q : extraction_.data) {
-    if (correction.pauli_at(q) == 'I') continue;
-    injector_->on_gate1(frame_, q);
-    if (correction.x_bit(q)) frame_.inject_x(q);
-    if (correction.z_bit(q)) frame_.inject_z(q);
-  }
-  for (const uint32_t q : extraction_.data) {
-    if (correction.pauli_at(q) == 'I') injector_->on_storage(frame_, q);
-  }
-}
-
 void GenericShorRecovery::run_cycle() {
-  for (const uint64_t group : extraction_.groups) {
-    const uint64_t syndrome = extract_syndrome(group);
-    if (syndrome == 0) continue;
-    // §3.4: a nontrivial syndrome acts only if a second reading agrees;
-    // conflicting readings defer.
-    if (policy_.repeat_nontrivial_syndrome &&
-        extract_syndrome(group) != syndrome) {
-      continue;
-    }
-    correct(syndrome);
-  }
+  FrameLane lane(frame_, *injector_);
+  cats_discarded_ += cat_cycle(lane, extraction_, policy_);
 }
 
 PauliString GenericShorRecovery::residual() const {

@@ -54,6 +54,17 @@ struct CatExtraction {
   std::vector<uint64_t> groups;
 };
 
+// One full cat-state recovery cycle on either lane engine (ft/lanes.h):
+// for each generator group, measure its generators with verified cats
+// (repeating per policy), decode each distinct syndrome value with the
+// code's lookup decoder and apply the correction through apply_fix. Cats go
+// through the engine's retry (the §3.3 discard loop). Returns the discarded
+// cats, summed over lanes. GenericShorRecovery and BatchGenericShorRecovery
+// both run it.
+template <typename Lanes>
+uint64_t cat_cycle(Lanes& lanes, const CatExtraction& extraction,
+                   const RecoveryPolicy& policy);
+
 // Fault-tolerant recovery for an ARBITRARY stabilizer code via the
 // generalized Shor method of §3.6: each generator is measured with a
 // verified cat state whose width equals the generator weight (see
@@ -92,11 +103,6 @@ class GenericShorRecovery {
   [[nodiscard]] sim::FrameSim& frame() { return frame_; }
 
  private:
-  [[nodiscard]] bool measure_generator(size_t g);
-  // Packed syndrome of one group (bit g for generator g).
-  [[nodiscard]] uint64_t extract_syndrome(uint64_t group);
-  void correct(uint64_t syndrome);
-
   CatExtraction extraction_;
   sim::FrameSim frame_;
   RecoveryPolicy policy_;

@@ -64,11 +64,6 @@ struct RecoveryPolicy {
   bool exrec_data_recoveries = false;
 };
 
-// Decodes 7 measurement flips into the 3-bit Hamming syndrome (Eq. 3)
-// relative to the trivial reference.
-[[nodiscard]] gf2::BitVec hamming_syndrome_of_flips(const gf2::Hamming743& code,
-                                                    const uint8_t* flips);
-
 // Injects the Pauli named by `pauli` ('X', 'Y' or 'Z') on qubit q of a
 // frame simulator — a FrameSim, or every lane of a BatchFrameSim. The
 // drivers' inject_data bodies check their own qubit range and call this.

@@ -5,21 +5,12 @@
 
 namespace ftqc::ft::steane_layout {
 
-// Register layout shared by the serial (SteaneRecovery) and batch
+// Register layout of the serial (SteaneRecovery) and batch
 // (BatchSteaneRecovery) Fig. 9 drivers: data block [0,7), syndrome ancilla
-// [7,14), verification ancilla [14,21). One definition so the two engines —
-// whose contract is exact statistical equivalence — cannot drift apart.
+// [7,14), verification ancilla [14,21).
 inline constexpr uint32_t kNumQubits = 21;
 inline constexpr std::array<uint32_t, 7> kData = {0, 1, 2, 3, 4, 5, 6};
 inline constexpr std::array<uint32_t, 7> kAncA = {7, 8, 9, 10, 11, 12, 13};
 inline constexpr std::array<uint32_t, 7> kAncB = {14, 15, 16, 17, 18, 19, 20};
-
-// Active sets for storage accounting: the data block always idles through
-// ancilla work; ancilla blocks join once they are in flight.
-inline constexpr std::array<uint32_t, 14> kDataAndA = {0, 1, 2,  3,  4,  5,  6,
-                                                       7, 8, 9, 10, 11, 12, 13};
-inline constexpr std::array<uint32_t, 21> kAll = {0,  1,  2,  3,  4,  5,  6,
-                                                  7,  8,  9,  10, 11, 12, 13,
-                                                  14, 15, 16, 17, 18, 19, 20};
 
 }  // namespace ftqc::ft::steane_layout

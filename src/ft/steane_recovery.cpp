@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <array>
+#include <vector>
 
 #include "common/check.h"
-#include "ft/gadget_runner.h"
+#include "ft/batch_recovery.h"
+#include "ft/lanes.h"
 #include "ft/steane_circuits.h"
 #include "ft/steane_layout.h"
+#include "sim/simd.h"
 
 namespace ftqc::ft {
 
@@ -15,127 +18,118 @@ using steane_layout::kAncA;
 using steane_layout::kAncB;
 using steane_layout::kData;
 
-// The cycle of Fig. 9 on an arbitrary layout. Holds the active-qubit sets
-// (data+anc_a during syndrome-ancilla work, all 21 during verification) so
-// storage-noise accounting matches the original fixed-register driver
-// location for location.
-class SteaneCycleRunner {
+// The Fig. 9 cycle on one layout. Holds the active-qubit sets (data+anc_a
+// during syndrome-ancilla work, all 21 during verification) for storage
+// accounting.
+template <typename Lanes>
+class SteaneCycle {
  public:
-  SteaneCycleRunner(sim::FrameSim& frame, NoiseInjector& injector,
-                    const RecoveryPolicy& policy,
-                    const gf2::Hamming743& hamming,
-                    const SteaneCycleLayout& layout,
-                    const SteaneCycleCircuits& circuits)
-      : frame_(frame),
-        injector_(injector),
+  SteaneCycle(Lanes& lanes, const RecoveryPolicy& policy,
+              const gf2::Hamming743& hamming,
+              const SteaneCycleCircuits& circuits)
+      : lanes_(lanes),
         policy_(policy),
         hamming_(hamming),
-        layout_(layout),
-        circuits_(circuits) {
+        layout_(circuits.layout),
+        circuits_(circuits),
+        words_(lanes.words()) {
     for (size_t i = 0; i < 7; ++i) {
-      data_and_a_[i] = layout.data[i];
-      data_and_a_[7 + i] = layout.anc_a[i];
-      all_[i] = layout.data[i];
-      all_[7 + i] = layout.anc_a[i];
-      all_[14 + i] = layout.anc_b[i];
+      data_and_a_[i] = layout_.data[i];
+      data_and_a_[7 + i] = layout_.anc_a[i];
+      all_[i] = layout_.data[i];
+      all_[7 + i] = layout_.anc_a[i];
+      all_[14 + i] = layout_.anc_b[i];
     }
   }
 
-  void run_cycle() {
+  void run(const uint64_t* active) {
     for (const bool phase_type : {false, true}) {
-      const gf2::BitVec syndrome = extract_syndrome(phase_type);
-      if (!syndrome.any()) continue;  // trivial: take no action (§3.4)
-      if (policy_.repeat_nontrivial_syndrome) {
-        const gf2::BitVec again = extract_syndrome(phase_type);
-        // Act only when the repeat agrees; a conflict defers to the next
-        // cycle.
-        if (again == syndrome) correct(phase_type, syndrome);
-      } else {
-        correct(phase_type, syndrome);
-      }
+      run_repeat_policy(
+          lanes_, 3, policy_.repeat_nontrivial_syndrome, active,
+          [&](const uint64_t* mask, uint64_t* out) {
+            extract_syndrome(phase_type, mask, out);
+          },
+          [&](const uint64_t* syn, const uint64_t* act) {
+            correct_data_block(lanes_, phase_type, layout_.data, syn, act);
+          });
     }
   }
 
  private:
-  [[nodiscard]] bool syndrome_ancilla_heralded() const {
-    for (uint32_t q : layout_.anc_a) {
-      if (frame_.is_erased(q)) return true;
+  void prepare_verified_zero_ancilla(const uint64_t* lane_mask) {
+    // Fresh |0>_code on the syndrome ancilla. Herald-triggered reinit: an
+    // erased ancilla qubit is known to be maximally mixed, so a lane whose
+    // block carries a herald discards it and replays zero_prep_a (whose R
+    // resets clear both the frames and the heralds) until the block is
+    // clean or the retry budget runs out. An exhausted budget keeps the
+    // last (still-heralded) block and lets verification judge it.
+    if (policy_.herald_reinit && lanes_.may_herald()) {
+      lanes_.retry(circuits_.zero_prep_a, layout_.anc_a, data_and_a_,
+                   1 + policy_.max_herald_retries, /*check=*/false,
+                   /*herald=*/true, lane_mask);
+    } else {
+      lanes_.run(circuits_.zero_prep_a, data_and_a_, lane_mask);
     }
-    return false;
+    if (!policy_.verify_ancilla || policy_.verification_rounds <= 0) return;
+
+    // §3.3: compare against freshly encoded blocks; a lane is fixed only
+    // when EVERY round votes "logically flipped", and a conflicted pair is
+    // left alone.
+    std::vector<uint64_t> votes(words_, ~uint64_t{0}), vote(words_);
+    for (int round = 0; round < policy_.verification_rounds; ++round) {
+      lanes_.run(circuits_.zero_prep_b, all_, lane_mask);
+      lanes_.run(circuits_.cx_ab, all_, lane_mask);
+      const uint64_t* flips = lanes_.run(circuits_.measure_b, all_, lane_mask);
+      const uint64_t* flip_rows[7];
+      for (size_t i = 0; i < 7; ++i) flip_rows[i] = flips + i * words_;
+      batch_decode_rows(hamming_, flip_rows, /*logical=*/true, vote.data(),
+                        words_);
+      sim::simd::and_into(votes.data(), vote.data(), words_);
+      for (uint32_t q : layout_.anc_b) lanes_.reset(q);
+    }
+    if (lane_mask != nullptr) {
+      sim::simd::and_into(votes.data(), lane_mask, words_);
+    }
+    if (!lanes_.any(votes.data())) return;
+
+    // Confident the ancilla is (logically) flipped: a one-layer circuit of
+    // three NOTs on the logical-X support (§4.1 footnote f) — gate noise on
+    // the three targets, storage on the rest of data+anc_a — which shifts
+    // the reference, so the frame takes the flip too.
+    for (size_t i = 0; i < 3; ++i) lanes_.gate1(layout_.anc_a[i], votes.data());
+    for (uint32_t q : layout_.data) lanes_.storage(q, votes.data());
+    for (size_t i = 3; i < 7; ++i) {
+      lanes_.storage(layout_.anc_a[i], votes.data());
+    }
+    for (size_t i = 0; i < 3; ++i) {
+      lanes_.inject_x(layout_.anc_a[i], votes.data());
+    }
   }
 
-  void prepare_verified_zero_ancilla() {
-    // Fresh |0>_code on the syndrome ancilla.
-    run_gadget(frame_, circuits_.zero_prep_a, injector_, data_and_a_);
-    if (policy_.herald_reinit) {
-      // Herald-triggered reinit: an erased ancilla qubit is known to be
-      // maximally mixed, so the block is discarded and re-prepared rather
-      // than verified. zero_prep_a opens with R resets, which clear both
-      // the frames and the heralds of the discarded block — each replay is
-      // a genuine fresh preparation. An exhausted budget keeps the last
-      // (still-heralded) block and lets verification judge it.
-      for (int retry = 0;
-           retry < policy_.max_herald_retries && syndrome_ancilla_heralded();
-           ++retry) {
-        run_gadget(frame_, circuits_.zero_prep_a, injector_, data_and_a_);
+  // Writes 3 syndrome rows (3 * words words) into `syndrome_rows`.
+  void extract_syndrome(bool phase_type, const uint64_t* lane_mask,
+                        uint64_t* syndrome_rows) {
+    prepare_verified_zero_ancilla(lane_mask);
+    const uint64_t* flips =
+        lanes_.run(circuits_.syndrome[phase_type], data_and_a_, lane_mask);
+    const gf2::BitMat& h = hamming_.check_matrix();
+    for (size_t j = 0; j < 3; ++j) {
+      uint64_t* out = syndrome_rows + j * words_;
+      std::fill_n(out, words_, 0);
+      for (size_t i = 0; i < 7; ++i) {
+        if (!h.row(j).get(i)) continue;
+        sim::simd::xor_into(out, flips + i * words_, words_);
       }
     }
-    if (!policy_.verify_ancilla) return;
-
-    // §3.3: compare against freshly encoded blocks; equal nontrivial
-    // readings trigger a logical flip of the ancilla, a conflicted pair is
-    // left alone.
-    int votes_one = 0;
-    int rounds = 0;
-    for (int round = 0; round < policy_.verification_rounds; ++round) {
-      run_gadget(frame_, circuits_.zero_prep_b, injector_, all_);
-      run_gadget(frame_, circuits_.cx_ab, injector_, all_);
-      const auto flips =
-          run_gadget(frame_, circuits_.measure_b, injector_, all_);
-      gf2::BitVec word(7);
-      for (size_t q = 0; q < 7; ++q) word.set(q, flips[q] != 0);
-      votes_one += hamming_.decode_logical(word) ? 1 : 0;
-      ++rounds;
-      for (uint32_t q : layout_.anc_b) frame_.reset(q);
-    }
-    if (votes_one == rounds && rounds > 0) {
-      // Confident the ancilla is (logically) flipped: apply the bitwise fix.
-      // Three NOTs on the logical-X support suffice (§4.1 footnote f).
-      run_gadget(frame_, circuits_.ancilla_flip_fix, injector_, data_and_a_);
-      frame_.inject_x(layout_.anc_a[0]);
-      frame_.inject_x(layout_.anc_a[1]);
-      frame_.inject_x(layout_.anc_a[2]);
-    }
+    for (uint32_t q : layout_.anc_a) lanes_.reset(q);
   }
 
-  gf2::BitVec extract_syndrome(bool phase_type) {
-    prepare_verified_zero_ancilla();
-    const auto flips = run_gadget(frame_, circuits_.syndrome[phase_type],
-                                  injector_, data_and_a_);
-    for (uint32_t q : layout_.anc_a) frame_.reset(q);
-    return hamming_syndrome_of_flips(hamming_, flips.data());
-  }
-
-  void correct(bool phase_type, const gf2::BitVec& syndrome) {
-    const size_t pos = hamming_.error_position(syndrome);
-    if (pos >= 7) return;
-    // The correction is a real gate: it costs one fault opportunity, and it
-    // shifts the reference (the noiseless run never applies corrections).
-    run_gadget(frame_, circuits_.correction[phase_type][pos], injector_,
-               layout_.data);
-    if (phase_type) {
-      frame_.inject_z(layout_.data[pos]);
-    } else {
-      frame_.inject_x(layout_.data[pos]);
-    }
-  }
-
-  sim::FrameSim& frame_;
-  NoiseInjector& injector_;
+  Lanes& lanes_;
   const RecoveryPolicy& policy_;
   const gf2::Hamming743& hamming_;
   const SteaneCycleLayout& layout_;
   const SteaneCycleCircuits& circuits_;
+  size_t words_;
   std::array<uint32_t, 14> data_and_a_{};
   std::array<uint32_t, 21> all_{};
 };
@@ -144,51 +138,44 @@ class SteaneCycleRunner {
 
 SteaneCycleCircuits compile_steane_cycle(const SteaneCycleLayout& layout) {
   SteaneCycleCircuits c;
+  c.layout = layout;
   c.zero_prep_a = steane_zero_prep(layout.anc_a);
   c.zero_prep_b = steane_zero_prep(layout.anc_b);
   c.cx_ab = transversal_cx(layout.anc_a, layout.anc_b);
   c.measure_b = destructive_measure(layout.anc_b);
-  for (uint32_t q : {layout.anc_a[0], layout.anc_a[1], layout.anc_a[2]}) {
-    c.ancilla_flip_fix.x(q);
-  }
-  c.ancilla_flip_fix.tick();
   for (const bool phase_type : {false, true}) {
     c.syndrome[phase_type] =
         steane_syndrome_gadget(phase_type, layout.data, layout.anc_a);
-    for (size_t pos = 0; pos < 7; ++pos) {
-      sim::Circuit& fix = c.correction[phase_type][pos];
-      if (phase_type) {
-        fix.z(layout.data[pos]);
-      } else {
-        fix.x(layout.data[pos]);
-      }
-      fix.tick();
-    }
   }
   return c;
 }
 
-void run_steane_cycle(sim::FrameSim& frame, NoiseInjector& injector,
-                      const RecoveryPolicy& policy,
-                      const gf2::Hamming743& hamming,
-                      const SteaneCycleLayout& layout,
-                      const SteaneCycleCircuits& circuits) {
-  SteaneCycleRunner(frame, injector, policy, hamming, layout, circuits)
-      .run_cycle();
+const SteaneCycleCircuits& steane_register_cycle() {
+  static const SteaneCycleCircuits kCircuits =
+      compile_steane_cycle(SteaneCycleLayout{kData, kAncA, kAncB});
+  return kCircuits;
 }
 
-void run_steane_cycle(sim::FrameSim& frame, NoiseInjector& injector,
-                      const RecoveryPolicy& policy,
-                      const gf2::Hamming743& hamming,
-                      const SteaneCycleLayout& layout) {
-  run_steane_cycle(frame, injector, policy, hamming, layout,
-                   compile_steane_cycle(layout));
+template <typename Lanes>
+void steane_cycle(Lanes& lanes, const RecoveryPolicy& policy,
+                  const gf2::Hamming743& hamming,
+                  const SteaneCycleCircuits& circuits,
+                  const uint64_t* active) {
+  SteaneCycle<Lanes>(lanes, policy, hamming, circuits).run(active);
 }
+
+template void steane_cycle<BatchLanes>(BatchLanes&, const RecoveryPolicy&,
+                                       const gf2::Hamming743&,
+                                       const SteaneCycleCircuits&,
+                                       const uint64_t*);
+template void steane_cycle<FrameLane>(FrameLane&, const RecoveryPolicy&,
+                                      const gf2::Hamming743&,
+                                      const SteaneCycleCircuits&,
+                                      const uint64_t*);
 
 SteaneRecovery::SteaneRecovery(const sim::NoiseParams& noise,
                                RecoveryPolicy policy, uint64_t seed)
     : frame_(kNumQubits, seed),
-      noise_(noise),
       policy_(policy),
       stochastic_(noise),
       injector_(&stochastic_) {}
@@ -209,9 +196,9 @@ void SteaneRecovery::apply_memory_noise(double p) {
 }
 
 void SteaneRecovery::run_cycle() {
-  static const SteaneCycleLayout kLayout{kData, kAncA, kAncB};
-  static const SteaneCycleCircuits kCircuits = compile_steane_cycle(kLayout);
-  run_steane_cycle(frame_, *injector_, policy_, hamming_, kLayout, kCircuits);
+  FrameLane lane(frame_, *injector_);
+  steane_cycle(lane, policy_, hamming_, steane_register_cycle(),
+               /*active=*/nullptr);
 }
 
 bool SteaneRecovery::logical_x_error() const {

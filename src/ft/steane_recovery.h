@@ -2,8 +2,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
-#include <optional>
 
 #include "ft/noise_injector.h"
 #include "ft/recovery.h"
@@ -29,39 +27,38 @@ struct SteaneCycleLayout {
 // cycles — hundreds of thousands of times, so rebuilding these per call
 // would triple the scan's wall clock.
 struct SteaneCycleCircuits {
+  SteaneCycleLayout layout;
   sim::Circuit zero_prep_a;
   sim::Circuit zero_prep_b;
   sim::Circuit cx_ab;
   sim::Circuit measure_b;
-  sim::Circuit ancilla_flip_fix;
   // Indexed by phase_type (false=bit-flip, true=phase-flip).
   std::array<sim::Circuit, 2> syndrome;
-  // Indexed by [phase_type][error position].
-  std::array<std::array<sim::Circuit, 7>, 2> correction;
 };
 
 [[nodiscard]] SteaneCycleCircuits compile_steane_cycle(
     const SteaneCycleLayout& layout);
+// The cycle on the steane_layout register of SteaneRecovery and
+// BatchSteaneRecovery, compiled once.
+[[nodiscard]] const SteaneCycleCircuits& steane_register_cycle();
 
-// One full fault-tolerant Steane recovery cycle (Fig. 9) on `layout`,
-// announcing every fault opportunity to `injector`. Storage accounting is
-// local to the 21 named qubits: data+anc_a idle during syndrome-ancilla
-// work, all 21 during verification — the §6 "maximal parallelism" rule
-// applied to this cycle's own register. Corrections land in place; the
-// caller decodes the residual frame. This is THE cycle implementation:
-// SteaneRecovery::run_cycle delegates here, so the standalone level-1
-// driver and the level-2 interleave cannot drift apart. `circuits` must be
-// compile_steane_cycle(layout); the convenience overload compiles it on the
-// fly.
-void run_steane_cycle(sim::FrameSim& frame, NoiseInjector& injector,
-                      const RecoveryPolicy& policy,
-                      const gf2::Hamming743& hamming,
-                      const SteaneCycleLayout& layout,
-                      const SteaneCycleCircuits& circuits);
-void run_steane_cycle(sim::FrameSim& frame, NoiseInjector& injector,
-                      const RecoveryPolicy& policy,
-                      const gf2::Hamming743& hamming,
-                      const SteaneCycleLayout& layout);
+// One full fault-tolerant Steane recovery cycle (Fig. 9) on
+// `circuits.layout`, on either lane engine (ft/lanes.h): SteaneRecovery and
+// BatchSteaneRecovery run it on their whole register, and the level-2 exRec
+// interleave aims it at each 7-qubit subblock. Storage accounting is local
+// to the 21 named qubits: data+anc_a idle during syndrome-ancilla work, all
+// 21 during verification — the §6 "maximal parallelism" rule applied to
+// this cycle's own register. Corrections land in place; the caller decodes
+// the residual frame. `active` (nullptr = all lanes) is the incoming lane
+// mask: lanes cleared in it collect no noise, no verification fixes and no
+// corrections, as if their shot had skipped the cycle. Every mask the cycle
+// derives (verification votes, nontrivial syndromes, §3.4 agreement) is
+// composed with `active`, which is what lets the level-2 cycle nest this
+// one inside its own per-lane control flow.
+template <typename Lanes>
+void steane_cycle(Lanes& lanes, const RecoveryPolicy& policy,
+                  const gf2::Hamming743& hamming,
+                  const SteaneCycleCircuits& circuits, const uint64_t* active);
 
 // Fault-tolerant error recovery for one Steane block using Steane's
 // encoded-ancilla method — the complete circuit of Fig. 9:
@@ -127,7 +124,6 @@ class SteaneRecovery {
 
  private:
   sim::FrameSim frame_;
-  sim::NoiseParams noise_;
   RecoveryPolicy policy_;
   gf2::Hamming743 hamming_;
   StochasticInjector stochastic_;

@@ -5,6 +5,7 @@
 
 #include "codes/stabilizer_code.h"
 #include "ft/batch_recovery.h"
+#include "ft/lanes.h"
 #include "ft/recovery.h"
 #include "sim/batch_frame_sim.h"
 #include "sim/noise_model.h"
@@ -12,24 +13,10 @@
 
 namespace ftqc::universal {
 
-// Bit-parallel FlagRecovery: the flag-qubit recovery cycle on 64 shots per
-// word, replaying the same FlagExtraction combs through BatchGadgetRunner
-// with the noise masked to the lanes whose serial shot would execute each
-// gadget. Per-shot control flow maps to lane masks:
-//  * round 1 (flagged combs) runs on every lane;
-//  * the clean re-extraction runs masked to the lanes whose flag fired;
-//  * the flag-conditioned correction groups those lanes by first fired
-//    generator and follow-up syndrome value (for_each_syndrome_value),
-//    decodes each distinct key once, and applies the fixes through
-//    batch_apply_fix — lanes whose correction is the identity take no
-//    noise, as the serial early return;
-//  * the unflagged lanes run the ordinary §3.4 repeat policy through
-//    run_batch_repeat_policy, with round 1's syndrome reused as the first
-//    reading (the closure's first extract call copies it instead of
-//    measuring again — serial shots never re-measure round 1 either).
-// Identical control flow is what pins this driver bit-for-bit against the
-// serial FlagRecovery under deterministic injections. The verdict is
-// word-level (batch_logical_errors).
+// Bit-parallel FlagRecovery: the one flag-qubit cycle (flag_cycle) on 64
+// shots per word, replaying the FlagExtraction combs through BatchLanes with
+// the noise masked to the lanes whose serial shot would execute each gadget.
+// The verdict is word-level (batch_logical_errors).
 class BatchFlagRecovery {
  public:
   BatchFlagRecovery(const codes::StabilizerCode& code,
@@ -61,20 +48,9 @@ class BatchFlagRecovery {
   }
 
  private:
-  // One unflagged comb on the lanes of `active`; writes the bit-sliced
-  // syndrome bit (words words) into `out`.
-  void measure_unflagged(size_t g, const uint64_t* active, uint64_t* out);
-  // Flag-conditioned correction for the lanes of `flagged_mask`.
-  void correct_flagged(const std::vector<uint64_t>& flag_rows,
-                       const uint64_t* syndrome_rows,
-                       const uint64_t* flagged_mask);
-  // batch_apply_fix on the lanes whose correction is not the identity.
-  void apply_fixes(const std::vector<uint64_t>& fix_x,
-                   const std::vector<uint64_t>& fix_z);
-
   FlagExtraction extraction_;
   sim::BatchFrameSim sim_;
-  ft::BatchGadgetRunner gadgets_;
+  ft::BatchLanes lanes_;
   ft::RecoveryPolicy policy_;
   size_t words_;
   uint64_t all_generators_;  // bitmask over the code's generators

@@ -11,6 +11,23 @@
 
 namespace ftqc::universal {
 
+// One full flag-qubit recovery cycle (protocol below) on either lane engine
+// (ft/lanes.h); FlagRecovery and BatchFlagRecovery both run it. Per-shot
+// control flow maps to lane masks:
+//  * round 1 (flagged combs) runs on every lane;
+//  * the clean re-extraction runs masked to the lanes whose flag fired;
+//  * the flag-conditioned correction groups those lanes by first fired
+//    generator and follow-up syndrome value (for_each_syndrome_value),
+//    decodes each distinct key once, and applies the fixes through
+//    apply_fix — lanes whose correction is the identity take no noise;
+//  * the unflagged lanes run the ordinary §3.4 repeat policy, with round
+//    1's syndrome reused as the first reading.
+// Returns the flagged round-1 measurements whose flag fired, summed over
+// lanes.
+template <typename Lanes>
+uint64_t flag_cycle(Lanes& lanes, const FlagExtraction& extraction,
+                    const ft::RecoveryPolicy& policy);
+
 // Fault-tolerant recovery for an arbitrary stabilizer code via flag-qubit
 // syndrome extraction: the third RecoveryPolicy family next to the Steane
 // (encoded-ancilla) and Shor (cat-state) methods. Two ancilla qubits total —
@@ -31,9 +48,8 @@ namespace ftqc::universal {
 //     corrected only when the two readings agree.
 //
 // Round 1 deliberately completes ALL generators before branching (no early
-// abort at the first flag): the batched driver replays whole gadgets per
-// 64-lane word, and identical control flow is what makes the two pin
-// bit-for-bit. Register layout: data [0, n), ancilla n, flag n+1.
+// abort at the first flag): the batch engine replays whole gadgets per
+// 64-lane word. Register layout: data [0, n), ancilla n, flag n+1.
 class FlagRecovery {
  public:
   FlagRecovery(const codes::StabilizerCode& code, const sim::NoiseParams& noise,
@@ -58,13 +74,6 @@ class FlagRecovery {
   }
 
  private:
-  // One comb measurement. Flagged: fills *flag_fired; unflagged: pass
-  // nullptr. Returns the syndrome bit.
-  [[nodiscard]] bool measure_generator(size_t g, bool flagged,
-                                       bool* flag_fired);
-  [[nodiscard]] gf2::BitVec extract_unflagged();
-  void apply_correction(const pauli::PauliString& correction);
-
   FlagExtraction extraction_;
   sim::FrameSim frame_;
   ft::RecoveryPolicy policy_;
