@@ -94,21 +94,23 @@ void run_repeat_policy(Lanes& lanes, size_t num_rows, bool repeat,
                        const uint64_t* active, ExtractFn&& extract,
                        CorrectFn&& correct) {
   const size_t words = lanes.words();
-  std::vector<uint64_t> syn1(num_rows * words), syn2(num_rows * words);
-  std::vector<uint64_t> nontrivial(words), act(words);
-  extract(active, syn1.data());
-  batch_nontrivial_mask(syn1.data(), num_rows, active, nontrivial.data(),
-                        words);
-  if (!lanes.any(nontrivial.data())) return;  // §3.4: no action
+  // One buffer: both readings, then the nontrivial and acting masks.
+  std::vector<uint64_t> buffer((2 * num_rows + 2) * words);
+  uint64_t* syn1 = buffer.data();
+  uint64_t* syn2 = syn1 + num_rows * words;
+  uint64_t* nontrivial = syn2 + num_rows * words;
+  uint64_t* act = nontrivial + words;
+  extract(active, syn1);
+  batch_nontrivial_mask(syn1, num_rows, active, nontrivial, words);
+  if (!lanes.any(nontrivial)) return;  // §3.4: no action
   if (repeat) {
     // Only the nontrivial lanes pay for (and can be hurt by) the repeat.
-    extract(nontrivial.data(), syn2.data());
-    batch_agreement_mask(syn1.data(), syn2.data(), num_rows,
-                         nontrivial.data(), act.data(), words);
+    extract(nontrivial, syn2);
+    batch_agreement_mask(syn1, syn2, num_rows, nontrivial, act, words);
   } else {
-    std::copy(nontrivial.begin(), nontrivial.end(), act.begin());
+    std::copy_n(nontrivial, words, act);
   }
-  correct(syn1.data(), act.data());
+  correct(syn1, act);
 }
 
 // Bit-sliced classical Hamming decode over 7 record/frame rows into `out`
@@ -171,8 +173,8 @@ void batch_add_fix(const pauli::PauliString& correction, const uint64_t* lanes,
 // noiseless reference never corrects). Then storage noise on the lanes of
 // `act` that leave data[q] alone. Lanes outside `act` take no fault
 // opportunity at all (§3.4 lanes that deferred, and lanes whose correction
-// is the identity). Every data qubit gets its gate-noise call, even with no
-// lane fixing it.
+// is the identity). Every data qubit gets its gate-noise call, so BatchLanes
+// draws for it even when no lane fixes it.
 template <typename Lanes>
 void apply_fix(Lanes& lanes, std::span<const uint32_t> data,
                const uint64_t* fix_x, const uint64_t* fix_z,

@@ -75,34 +75,36 @@ class SteaneCycle {
     // §3.3: compare against freshly encoded blocks; a lane is fixed only
     // when EVERY round votes "logically flipped", and a conflicted pair is
     // left alone.
-    std::vector<uint64_t> votes(words_, ~uint64_t{0}), vote(words_);
+    std::vector<uint64_t> buffer(2 * words_, ~uint64_t{0});
+    uint64_t* votes = buffer.data();
+    uint64_t* vote = votes + words_;
     for (int round = 0; round < policy_.verification_rounds; ++round) {
       lanes_.run(circuits_.zero_prep_b, all_, lane_mask);
       lanes_.run(circuits_.cx_ab, all_, lane_mask);
       const uint64_t* flips = lanes_.run(circuits_.measure_b, all_, lane_mask);
       const uint64_t* flip_rows[7];
       for (size_t i = 0; i < 7; ++i) flip_rows[i] = flips + i * words_;
-      batch_decode_rows(hamming_, flip_rows, /*logical=*/true, vote.data(),
+      batch_decode_rows(hamming_, flip_rows, /*logical=*/true, vote,
                         words_);
-      sim::simd::and_into(votes.data(), vote.data(), words_);
+      sim::simd::and_into(votes, vote, words_);
       for (uint32_t q : layout_.anc_b) lanes_.reset(q);
     }
     if (lane_mask != nullptr) {
-      sim::simd::and_into(votes.data(), lane_mask, words_);
+      sim::simd::and_into(votes, lane_mask, words_);
     }
-    if (!lanes_.any(votes.data())) return;
+    if (!lanes_.any(votes)) return;
 
     // Confident the ancilla is (logically) flipped: a one-layer circuit of
     // three NOTs on the logical-X support (§4.1 footnote f) — gate noise on
     // the three targets, storage on the rest of data+anc_a — which shifts
     // the reference, so the frame takes the flip too.
-    for (size_t i = 0; i < 3; ++i) lanes_.gate1(layout_.anc_a[i], votes.data());
-    for (uint32_t q : layout_.data) lanes_.storage(q, votes.data());
+    for (size_t i = 0; i < 3; ++i) lanes_.gate1(layout_.anc_a[i], votes);
+    for (uint32_t q : layout_.data) lanes_.storage(q, votes);
     for (size_t i = 3; i < 7; ++i) {
-      lanes_.storage(layout_.anc_a[i], votes.data());
+      lanes_.storage(layout_.anc_a[i], votes);
     }
     for (size_t i = 0; i < 3; ++i) {
-      lanes_.inject_x(layout_.anc_a[i], votes.data());
+      lanes_.inject_x(layout_.anc_a[i], votes);
     }
   }
 
