@@ -179,7 +179,10 @@ class JsonResult {
   }
 
   // Serializes {"bench":"E05","smoke":...,<fields>}, prints a BENCH_JSON
-  // line, and writes BENCH_<name>.json for machine consumption.
+  // line, and writes BENCH_<name>.json for machine consumption. A run that
+  // cannot write its artifact exits 2 naming the path: run_campaign takes a
+  // zero exit as "done", and a done bench without its artifact would be
+  // skipped on resume.
   void write() const {
     const Options& opts = options();
     FTQC_CHECK(!opts.name.empty(), "bench::init must run before write()");
@@ -193,11 +196,13 @@ class JsonResult {
     std::printf("BENCH_JSON %s\n", json.c_str());
     std::string path = opts.json_dir.empty() ? "" : opts.json_dir + "/";
     path += "BENCH_" + opts.name + ".json";
-    if (std::FILE* out = std::fopen(path.c_str(), "w")) {
-      std::fprintf(out, "%s\n", json.c_str());
-      std::fclose(out);
-    } else {
-      std::fprintf(stderr, "warning: could not write %s\n", path.c_str());
+    std::FILE* out = std::fopen(path.c_str(), "w");
+    bool written = out != nullptr &&
+                   std::fprintf(out, "%s\n", json.c_str()) >= 0;
+    if (out != nullptr && std::fclose(out) != 0) written = false;
+    if (!written) {
+      std::fprintf(stderr, "error: could not write %s\n", path.c_str());
+      std::exit(2);
     }
   }
 
