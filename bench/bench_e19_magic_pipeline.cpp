@@ -246,18 +246,33 @@ int main(int argc, char** argv) {
   // --- Extraction-family A/B ------------------------------------------------
   ftqc::Table ab_table({"gate eps", "flag P(fail)", "Shor P(fail)",
                         "Steane P(fail)"});
-  std::vector<double> cycle_grid, flag_ratio, shor_ratio, steane_ratio;
+  // Per family, the failure/eps ratio curve of the point estimates and the
+  // curves through every point's 95% Wilson lower and upper bounds.
+  struct RatioCurves {
+    std::vector<double> mid, lower, upper;
+  };
+  std::vector<double> cycle_grid;
+  RatioCurves curves[3];
   for (const GridPoint& pt : kGrid) {
     cycle_grid.push_back(pt.eps);
     double fail[3] = {0, 0, 0};
     const char* tags[3] = {"flag", "shor", "steane"};
-    std::vector<double>* ratios[3] = {&flag_ratio, &shor_ratio, &steane_ratio};
     for (int k = 0; k < 3; ++k) {
       const auto& m = metrics_of(std::string(tags[k]) + "_" + pt.tag);
-      const double trials = m.at("trials");
-      fail[k] = trials > 0 ? m.at("failures") / trials : 0.0;
+      const ftqc::Proportion p{static_cast<uint64_t>(m.at("failures")),
+                               static_cast<uint64_t>(m.at("trials"))};
+      fail[k] = p.mean();
       // failure/eps -> 1 is the cycle pseudothreshold (E5 convention).
-      ratios[k]->push_back(fail[k] > 0 ? fail[k] / pt.eps : 0.0);
+      curves[k].mid.push_back(fail[k] > 0 ? fail[k] / pt.eps : 0.0);
+      // The bound curves fit the points the estimate fits: a point without
+      // failures (ratio 0) leaves all three fits, since its upper bound is
+      // set by the shot count alone and would bend the upper curve.
+      const double center = p.wilson_center();
+      const double halfwidth = p.wilson_halfwidth();
+      curves[k].lower.push_back(
+          fail[k] > 0 ? (center - halfwidth) / pt.eps : 0.0);
+      curves[k].upper.push_back(
+          fail[k] > 0 ? (center + halfwidth) / pt.eps : 0.0);
     }
     ab_table.add_row({ftqc::strfmt("%.0e", pt.eps),
                       ftqc::strfmt("%.3e", fail[0]),
@@ -268,11 +283,11 @@ int main(int argc, char** argv) {
   ab_table.print();
 
   const ftqc::UnitCrossing flag_cross =
-      ftqc::loglog_unit_crossing_ex(cycle_grid, flag_ratio);
+      ftqc::loglog_unit_crossing_ex(cycle_grid, curves[0].mid);
   const ftqc::UnitCrossing shor_cross =
-      ftqc::loglog_unit_crossing_ex(cycle_grid, shor_ratio);
+      ftqc::loglog_unit_crossing_ex(cycle_grid, curves[1].mid);
   const ftqc::UnitCrossing steane_cross =
-      ftqc::loglog_unit_crossing_ex(cycle_grid, steane_ratio);
+      ftqc::loglog_unit_crossing_ex(cycle_grid, curves[2].mid);
   if (flag_cross.valid) json.add("pseudothreshold_flag", flag_cross.x);
   if (shor_cross.valid) json.add("pseudothreshold_shor", shor_cross.x);
   if (steane_cross.valid) json.add("pseudothreshold_steane", steane_cross.x);
@@ -282,17 +297,28 @@ int main(int argc, char** argv) {
            !shor_cross.valid || shor_cross.extrapolated);
   json.add("pseudothreshold_steane_extrapolated",
            !steane_cross.valid || steane_cross.extrapolated);
-  std::printf(
-      "\nCycle pseudothreshold (failure/eps -> 1):\n"
-      "  flag   : eps ~ %.2e (%s), %d ancillas/generator\n"
-      "  Shor   : eps ~ %.2e (%s), %d ancillas/generator\n"
-      "  Steane : eps ~ %.2e (%s), %d ancillas/generator\n",
-      flag_cross.x, flag_cross.extrapolated ? "extrapolated" : "bracketed",
-      kFlagAncillas, shor_cross.x,
-      shor_cross.extrapolated ? "extrapolated" : "bracketed", kShorAncillas,
-      steane_cross.x,
-      steane_cross.extrapolated ? "extrapolated" : "bracketed",
-      kSteaneAncillas);
+  // The interval of each crossing: a higher failure curve crosses 1 at a
+  // smaller eps, so the upper-bound curve gives the interval's low end.
+  std::printf("\nCycle pseudothreshold (failure/eps -> 1), with the "
+              "crossings of the 95%% Wilson bound curves:\n");
+  const char* names[3] = {"flag", "shor", "steane"};
+  const char* labels[3] = {"flag  ", "Shor  ", "Steane"};
+  const ftqc::UnitCrossing* crosses[3] = {&flag_cross, &shor_cross,
+                                          &steane_cross};
+  const int ancillas[3] = {kFlagAncillas, kShorAncillas, kSteaneAncillas};
+  for (int k = 0; k < 3; ++k) {
+    const ftqc::UnitCrossing lo =
+        ftqc::loglog_unit_crossing_ex(cycle_grid, curves[k].upper);
+    const ftqc::UnitCrossing hi =
+        ftqc::loglog_unit_crossing_ex(cycle_grid, curves[k].lower);
+    const std::string key = std::string("pseudothreshold_") + names[k];
+    if (lo.valid) json.add(key + "_lo", lo.x);
+    if (hi.valid) json.add(key + "_hi", hi.x);
+    std::printf("  %s : eps ~ %.2e [%.2e, %.2e] (%s), %d ancillas/generator\n",
+                labels[k], crosses[k]->x, lo.x, hi.x,
+                crosses[k]->extrapolated ? "extrapolated" : "bracketed",
+                ancillas[k]);
+  }
 
   json.add("flag_ancilla_qubits", kFlagAncillas);
   json.add("shor_ancilla_qubits", kShorAncillas);
