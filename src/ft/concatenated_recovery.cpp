@@ -222,10 +222,12 @@ class Level2Cycle {
     std::vector<uint64_t> logicals(7 * words_), vote(words_);
     for (int round = 0; round < policy_.verification_rounds; ++round) {
       lanes_.run(circuits_.prep_b, circuits_.all, lane_mask);
-      const uint64_t* flips =
+      const auto flips =
           lanes_.run(circuits_.verify, circuits_.all, lane_mask);
+      FTQC_CHECK(flips.size() == kBlock * words_,
+                 "verification must read 49 qubits");
       const uint64_t* flip_rows[49];
-      for (size_t i = 0; i < kBlock; ++i) flip_rows[i] = flips + i * words_;
+      for (size_t i = 0; i < kBlock; ++i) flip_rows[i] = &flips[i * words_];
       level2_decode_rows(hamming_, flip_rows, logicals.data(), vote.data(),
                          words_);
       sim::simd::and_into(votes.data(), vote.data(), words_);
@@ -260,8 +262,10 @@ class Level2Cycle {
                         uint64_t* rows24) {
     prepare_verified_zero_ancilla(lane_mask);
     lanes_.marker("extract", lane_mask);
-    const uint64_t* flips = lanes_.run(circuits_.extract[phase_type],
-                                       circuits_.data_and_a, lane_mask);
+    const auto flips = lanes_.run(circuits_.extract[phase_type],
+                                  circuits_.data_and_a, lane_mask);
+    FTQC_CHECK(flips.size() == kBlock * words_,
+               "extraction must read 49 qubits");
     for (uint32_t i = 0; i < kBlock; ++i) lanes_.reset(kAncA + i);
     lanes_.marker("extract:end", lane_mask);
 
@@ -274,7 +278,7 @@ class Level2Cycle {
     for (size_t sub = 0; sub < 7; ++sub) {
       const uint64_t* sub_rows[7];
       for (size_t i = 0; i < 7; ++i) {
-        sub_rows[i] = flips + (7 * sub + i) * words_;
+        sub_rows[i] = &flips[(7 * sub + i) * words_];
       }
       for (size_t j = 0; j < 3; ++j) {
         uint64_t* out = rows24 + (3 * sub + j) * words_;

@@ -101,12 +101,14 @@ uint64_t extract_cat_syndrome(Lanes& lanes, const CatExtraction& extraction,
                              policy.max_cat_attempts, policy.verify_ancilla,
                              policy.herald_reinit && lanes.may_herald(),
                              active);
-    const uint64_t* readout =
+    const auto readout =
         lanes.run(circuits.readout, extraction.all_qubits, active);
+    FTQC_CHECK(readout.size() == circuits.width * words,
+               "generator readout width mismatch");
     // The syndrome bit is the parity of the `width` readout bits.
     std::fill_n(rows, words, 0);
     for (size_t r = 0; r < circuits.width; ++r) {
-      sim::simd::xor_into(rows, readout + r * words, words);
+      sim::simd::xor_into(rows, &readout[r * words], words);
     }
   }
   return discarded;

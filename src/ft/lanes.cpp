@@ -5,28 +5,28 @@
 
 namespace ftqc::ft {
 
-const uint64_t* BatchLanes::run(const sim::Circuit& circuit,
-                                std::span<const uint32_t> active_qubits,
-                                const uint64_t* mask) {
+std::span<const uint64_t> BatchLanes::run(
+    const sim::Circuit& circuit, std::span<const uint32_t> active_qubits,
+    const uint64_t* mask) {
   // The runner clears the record first, so the gadget's rows are rows
   // 0..n-1, stored one after another.
   const auto rows = gadgets_.run(circuit, active_qubits, mask);
-  if (rows.empty()) return nullptr;
+  if (rows.empty()) return {};
   FTQC_DCHECK(rows.front() == 0 && rows.back() + 1 == rows.size(),
               "gadget rows must start a fresh record");
-  return sim_.record().row(0);
+  return {sim_.record().row(0), rows.size() * words()};
 }
 
-const uint64_t* FrameLane::run(const sim::Circuit& circuit,
-                               std::span<const uint32_t> active_qubits,
-                               const uint64_t* mask) {
+std::span<const uint64_t> FrameLane::run(
+    const sim::Circuit& circuit, std::span<const uint32_t> active_qubits,
+    const uint64_t* mask) {
   if (!on(mask)) {
     record_.assign(circuit.num_measurements(), 0);
   } else {
     const auto flips = run_gadget(frame_, circuit, injector_, active_qubits);
     record_.assign(flips.begin(), flips.end());
   }
-  return record_.data();
+  return record_;
 }
 
 uint64_t FrameLane::retry(const sim::Circuit& prep,

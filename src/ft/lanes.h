@@ -27,7 +27,7 @@ namespace ftqc::ft {
 //   may_herald()                     whether erasure heralds can appear;
 //   run(circuit, active_qubits, mask)
 //       runs a gadget with noise on the lanes of `mask`; returns its record
-//       rows, row k at k * words(), valid until the next run or retry;
+//       rows (row k at k * words()), valid until the next run or retry;
 //   retry(prep, block, active_qubits, attempts, check, herald, mask)
 //       re-runs a preparation on the lanes that failed it (see
 //       BatchCatRetry::run); returns the failed attempts summed over lanes;
@@ -58,9 +58,9 @@ class BatchLanes {
     return gadgets_.noise();
   }
 
-  const uint64_t* run(const sim::Circuit& circuit,
-                      std::span<const uint32_t> active_qubits,
-                      const uint64_t* mask);
+  std::span<const uint64_t> run(const sim::Circuit& circuit,
+                                std::span<const uint32_t> active_qubits,
+                                const uint64_t* mask);
   uint64_t retry(const sim::Circuit& prep, std::span<const uint32_t> block,
                  std::span<const uint32_t> active_qubits, int attempts,
                  bool check, bool herald, const uint64_t* mask) {
@@ -108,9 +108,9 @@ class FrameLane {
   }
   [[nodiscard]] bool may_herald() const { return true; }
 
-  const uint64_t* run(const sim::Circuit& circuit,
-                      std::span<const uint32_t> active_qubits,
-                      const uint64_t* mask);
+  std::span<const uint64_t> run(const sim::Circuit& circuit,
+                                std::span<const uint32_t> active_qubits,
+                                const uint64_t* mask);
   uint64_t retry(const sim::Circuit& prep, std::span<const uint32_t> block,
                  std::span<const uint32_t> active_qubits, int attempts,
                  bool check, bool herald, const uint64_t* mask);

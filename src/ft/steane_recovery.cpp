@@ -81,9 +81,11 @@ class SteaneCycle {
     for (int round = 0; round < policy_.verification_rounds; ++round) {
       lanes_.run(circuits_.zero_prep_b, all_, lane_mask);
       lanes_.run(circuits_.cx_ab, all_, lane_mask);
-      const uint64_t* flips = lanes_.run(circuits_.measure_b, all_, lane_mask);
+      const auto flips = lanes_.run(circuits_.measure_b, all_, lane_mask);
+      FTQC_CHECK(flips.size() == 7 * words_,
+                 "destructive measure must read 7 qubits");
       const uint64_t* flip_rows[7];
-      for (size_t i = 0; i < 7; ++i) flip_rows[i] = flips + i * words_;
+      for (size_t i = 0; i < 7; ++i) flip_rows[i] = &flips[i * words_];
       batch_decode_rows(hamming_, flip_rows, /*logical=*/true, vote,
                         words_);
       sim::simd::and_into(votes, vote, words_);
@@ -112,15 +114,17 @@ class SteaneCycle {
   void extract_syndrome(bool phase_type, const uint64_t* lane_mask,
                         uint64_t* syndrome_rows) {
     prepare_verified_zero_ancilla(lane_mask);
-    const uint64_t* flips =
+    const auto flips =
         lanes_.run(circuits_.syndrome[phase_type], data_and_a_, lane_mask);
+    FTQC_CHECK(flips.size() == 7 * words_,
+               "syndrome extraction must read 7 qubits");
     const gf2::BitMat& h = hamming_.check_matrix();
     for (size_t j = 0; j < 3; ++j) {
       uint64_t* out = syndrome_rows + j * words_;
       std::fill_n(out, words_, 0);
       for (size_t i = 0; i < 7; ++i) {
         if (!h.row(j).get(i)) continue;
-        sim::simd::xor_into(out, flips + i * words_, words_);
+        sim::simd::xor_into(out, &flips[i * words_], words_);
       }
     }
     for (uint32_t q : layout_.anc_a) lanes_.reset(q);

@@ -32,11 +32,12 @@ class FlagCycle {
     std::vector<uint64_t> syn1(num_gen_ * words_), flag_rows(num_gen_ * words_);
     std::vector<uint64_t> flagged(words_, 0);
     for (size_t g = 0; g < num_gen_; ++g) {
-      const uint64_t* rows = lanes_.run(extraction_.flagged[g],
-                                        extraction_.all_qubits,
-                                        /*mask=*/nullptr);
-      std::copy_n(rows, words_, &syn1[g * words_]);
-      std::copy_n(rows + words_, words_, &flag_rows[g * words_]);
+      const auto rows = lanes_.run(extraction_.flagged[g],
+                                   extraction_.all_qubits, /*mask=*/nullptr);
+      FTQC_CHECK(rows.size() == 2 * words_,
+                 "flagged comb reads ancilla + flag");
+      std::copy_n(rows.begin(), words_, &syn1[g * words_]);
+      std::copy_n(rows.begin() + words_, words_, &flag_rows[g * words_]);
       lanes_.reset(extraction_.ancilla);
       lanes_.reset(extraction_.flag);
       sim::simd::or_into(flagged.data(), &flag_rows[g * words_], words_);
@@ -88,9 +89,10 @@ class FlagCycle {
   // One unflagged comb on the lanes of `active`; writes the bit-sliced
   // syndrome bit (words words) into `out`.
   void measure_unflagged(size_t g, const uint64_t* active, uint64_t* out) {
-    const uint64_t* rows = lanes_.run(extraction_.unflagged[g],
-                                      extraction_.noflag_qubits, active);
-    std::copy_n(rows, words_, out);
+    const auto rows = lanes_.run(extraction_.unflagged[g],
+                                 extraction_.noflag_qubits, active);
+    FTQC_CHECK(rows.size() == words_, "unflagged comb reads the ancilla");
+    std::copy_n(rows.begin(), words_, out);
     lanes_.reset(extraction_.ancilla);
     lanes_.reset(extraction_.flag);
   }
