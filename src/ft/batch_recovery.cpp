@@ -340,6 +340,7 @@ uint64_t BatchCatRetry::run(BatchGadgetRunner& gadgets,
                             std::span<const uint32_t> active_qubits,
                             int attempts, bool check, bool herald,
                             const uint64_t* active) {
+  FTQC_CHECK(attempts >= 1, kRetryNeedsAnAttempt);
   const size_t words = sim_.num_words();
   need_.assign(words, ~uint64_t{0});
   if (active != nullptr) std::copy_n(active, words, need_.begin());

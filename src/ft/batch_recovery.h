@@ -232,6 +232,12 @@ class BatchGadgetRunner {
   std::vector<bool> touched_;  // per-layer storage-accounting scratch
 };
 
+// A retry budget without one attempt would skip the preparation; both lane
+// engines reject it with this message.
+inline constexpr const char* kRetryNeedsAnAttempt =
+    "a preparation needs at least one attempt (max_cat_attempts >= 1, "
+    "max_herald_retries >= 0)";
+
 // The batched retry loop of an ancilla preparation — the §3.3 cat discard
 // and the herald-triggered reinit of the Steane ancilla alike. Attempt k
 // re-runs ONLY the lanes that failed attempts 0..k-1: later attempts replay

@@ -34,6 +34,7 @@ uint64_t FrameLane::retry(const sim::Circuit& prep,
                           std::span<const uint32_t> active_qubits,
                           int attempts, bool check, bool herald,
                           const uint64_t* mask) {
+  FTQC_CHECK(attempts >= 1, kRetryNeedsAnAttempt);
   if (!on(mask)) return 0;
   uint64_t failures = 0;
   for (int attempt = 0; attempt < attempts; ++attempt) {

@@ -215,6 +215,29 @@ TEST(BatchRecovery, HeraldExhaustionSurfacesAbortMask) {
   }
 }
 
+// A retry budget without one attempt would run no preparation at all (the
+// batch loop then aborted every lane); both lane engines reject it.
+TEST(BatchRecovery, RetryBudgetWithoutAnAttemptDies) {
+  RecoveryPolicy no_reinit_attempt;
+  no_reinit_attempt.max_herald_retries = -1;
+  const auto erasure = sim::NoiseParams::with_erasure(1e-3, 1e-2);
+  EXPECT_DEATH(SteaneRecovery(erasure, no_reinit_attempt, 1).run_cycle(),
+               "at least one attempt");
+  EXPECT_DEATH(
+      BatchSteaneRecovery(erasure, no_reinit_attempt, 64, 1).run_cycle(),
+      "at least one attempt");
+  RecoveryPolicy no_cat_attempt;
+  no_cat_attempt.max_cat_attempts = 0;
+  EXPECT_DEATH(GenericShorRecovery(codes::steane(), kNoiseless,
+                                   no_cat_attempt, 1)
+                   .run_cycle(),
+               "at least one attempt");
+  EXPECT_DEATH(BatchGenericShorRecovery(codes::steane(), kNoiseless,
+                                        no_cat_attempt, 64, 1)
+                   .run_cycle(),
+               "at least one attempt");
+}
+
 // Leakage has no bit-parallel form: every batch family must degrade
 // gracefully with a structured UnsupportedChannel naming its serial
 // fallback, not die mid-campaign.
