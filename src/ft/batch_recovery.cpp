@@ -148,32 +148,12 @@ void apply_fix(Lanes& lanes, std::span<const uint32_t> data,
   }
 }
 
-template <typename Lanes>
-void correct_data_block(Lanes& lanes, bool phase_type,
-                        std::span<const uint32_t> data,
-                        const uint64_t* syndrome_rows,
-                        const uint64_t* act_mask) {
-  FTQC_CHECK(data.size() == 7, "Hamming correction needs a 7-qubit block");
-  const size_t words = lanes.words();
-  if (!lanes.any(act_mask)) return;
-  std::vector<uint64_t> pos_masks(7 * words);
-  batch_decode_positions(syndrome_rows, act_mask, pos_masks.data(), words);
-  apply_fix(lanes, data, phase_type ? nullptr : pos_masks.data(),
-            phase_type ? pos_masks.data() : nullptr, act_mask);
-}
-
 template void apply_fix<BatchLanes>(BatchLanes&, std::span<const uint32_t>,
                                     const uint64_t*, const uint64_t*,
                                     const uint64_t*);
 template void apply_fix<FrameLane>(FrameLane&, std::span<const uint32_t>,
                                    const uint64_t*, const uint64_t*,
                                    const uint64_t*);
-template void correct_data_block<BatchLanes>(BatchLanes&, bool,
-                                             std::span<const uint32_t>,
-                                             const uint64_t*, const uint64_t*);
-template void correct_data_block<FrameLane>(FrameLane&, bool,
-                                            std::span<const uint32_t>,
-                                            const uint64_t*, const uint64_t*);
 
 void batch_logical_errors(const sim::BatchFrameSim& sim,
                           const codes::LookupDecoder& decoder,

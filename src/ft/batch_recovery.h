@@ -180,16 +180,6 @@ void apply_fix(Lanes& lanes, std::span<const uint32_t> data,
                const uint64_t* fix_x, const uint64_t* fix_z,
                const uint64_t* act);
 
-// The one-Pauli Hamming correction of a Steane block through apply_fix:
-// the lanes of `act_mask` whose 3-row syndrome (`syndrome_rows`,
-// 3 * lanes.words() words) points at a position take an X (phase_type
-// false) or a Z there.
-template <typename Lanes>
-void correct_data_block(Lanes& lanes, bool phase_type,
-                        std::span<const uint32_t> data,
-                        const uint64_t* syndrome_rows,
-                        const uint64_t* act_mask);
-
 // Word-level logical verdict on a data block at qubits [0, n): writes into
 // `out` (sim.num_words() words) the lanes whose residual frame is a logical
 // error once each group's part of its syndrome is decoded and corrected.

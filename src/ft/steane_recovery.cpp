@@ -50,7 +50,7 @@ class SteaneCycle {
             extract_syndrome(phase_type, mask, out);
           },
           [&](const uint64_t* syn, const uint64_t* act) {
-            correct_data_block(lanes_, phase_type, layout_.data, syn, act);
+            correct(phase_type, syn, act);
           });
     }
   }
@@ -128,6 +128,18 @@ class SteaneCycle {
       }
     }
     for (uint32_t q : layout_.anc_a) lanes_.reset(q);
+  }
+
+  // The one-Pauli Hamming correction: the lanes of `act` whose 3-row
+  // syndrome points at a position take an X (phase_type false) or a Z
+  // there, through apply_fix.
+  void correct(bool phase_type, const uint64_t* syndrome_rows,
+               const uint64_t* act) {
+    if (!lanes_.any(act)) return;
+    std::vector<uint64_t> pos_masks(7 * words_);
+    batch_decode_positions(syndrome_rows, act, pos_masks.data(), words_);
+    apply_fix(lanes_, layout_.data, phase_type ? nullptr : pos_masks.data(),
+              phase_type ? pos_masks.data() : nullptr, act);
   }
 
   Lanes& lanes_;
