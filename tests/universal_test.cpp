@@ -315,7 +315,7 @@ TEST(FlagRecovery, ReedMuller15ShotsMatchRecordedFingerprint) {
 }
 
 // The batch driver's draws, recorded after its corrections moved onto the
-// shared per-qubit fix masks (batch_apply_fix) — by design a different
+// shared per-qubit fix masks (apply_fix) — by design a different
 // draw order from the per-group fixes before, unlike the serial pins above.
 uint64_t batch_flag_fingerprint(const codes::StabilizerCode& code,
                                 bool biased) {
