@@ -1,14 +1,17 @@
 // The rare-event measurement engine: binomial priors, the stratified
 // estimator's exact-mixture property on toy gadgets with analytically known
 // failure sets, chunk-boundary/seed determinism of the stratum sampler,
-// raw-shot charging and known-zero strata under add_shots grants, and a
-// direct-vs-stratified cross-check on the real level-1 Steane cycle.
+// raw-shot charging and known-zero strata under add_shots grants, a
+// direct-vs-stratified cross-check on the real level-1 Steane cycle, and a
+// recorded pin on both sampler injectors' draws on that cycle.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <vector>
 
 #include "common/stats.h"
+#include "fnv1a.h"
 #include "ft/fault_enumeration.h"
 #include "ft/steane_recovery.h"
 #include "sim/frame_sim.h"
@@ -397,6 +400,56 @@ TEST(RareEventValidation, SteaneCycleMatchesDirectMonteCarlo) {
       << "stratified " << sweep.estimates[0].mean << " vs direct "
       << direct.failures.mean();
   EXPECT_LT(sweep.estimates[0].relative_halfwidth(), 0.5);
+}
+
+// --- Recorded sampler draws on a real gadget -----------------------------
+
+// The level-1 Steane cycle as the rare-event benches replay it: a fresh
+// SteaneRecovery per replay, all noise from the injector.
+bool steane_cycle_fails(NoiseInjector& injector, uint64_t seed) {
+  SteaneRecovery rec(sim::NoiseParams{}, RecoveryPolicy{}, seed);
+  rec.set_injector(&injector);
+  rec.run_cycle();
+  rec.set_injector(nullptr);
+  return rec.any_logical_error();
+}
+
+// FNV-1a over the exact draws of both sampler injectors on that cycle: the
+// Bernoulli proposals of sample_conditioned_fault_sets (strata k = 2..4 at
+// q = k / N, every accepted shot's path length and verdict) and the
+// stochastic counting pass of calibrate_mean_locations. A change that only
+// reorganizes the serial replay path must keep the constant.
+TEST(RareEventFingerprint, SteaneCycleSamplersMatchRecorded) {
+  const GadgetExperiment experiment = [](NoiseInjector& injector) {
+    return steane_cycle_fails(injector, /*seed=*/77);
+  };
+  ScanOptions gates;
+  gates.filter = gate_kinds_only();
+  const double n =
+      static_cast<double>(record_fault_universe(experiment, gates).size());
+  Fnv1a hash;
+  size_t accepted = 0, failing = 0;
+  for (const size_t k : {size_t{2}, size_t{3}, size_t{4}}) {
+    const ConditionedSetScan scan = sample_conditioned_fault_sets(
+        experiment, gate_kinds_only(), static_cast<double>(k) / n, k,
+        /*num_shots=*/600, /*first_shot=*/0, /*seed=*/2027 + k);
+    hash.add(scan.raw_shots);
+    hash.add(scan.accepted);
+    hash.add(scan.accepted_failing);
+    for (const size_t n_s : scan.accepted_locations) hash.add(n_s);
+    for (const uint8_t failed : scan.accepted_failing_mask) hash.add(failed);
+    accepted += scan.accepted;
+    failing += scan.accepted_failing;
+  }
+  const double mean_locations = calibrate_mean_locations(
+      steane_cycle_fails, sim::NoiseParams::uniform_gate(1e-3, 1e-3),
+      gate_kinds_only(), /*num_shots=*/200, /*seed=*/5);
+  hash.add(std::bit_cast<uint64_t>(mean_locations));
+  EXPECT_GT(accepted, 150u);
+  EXPECT_GT(failing, 0u);
+  EXPECT_GT(mean_locations, n);
+  EXPECT_EQ(hash.value(), 0x05d4783ce9507362ull)
+      << std::hex << hash.value();
 }
 
 }  // namespace
