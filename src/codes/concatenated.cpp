@@ -1,6 +1,7 @@
 #include "codes/concatenated.h"
 
 #include "common/check.h"
+#include "gf2/hamming.h"
 
 namespace ftqc::codes {
 
@@ -16,12 +17,13 @@ std::vector<bool> ConcatenatedSteane::decode_to_level(const gf2::BitVec& errors,
   FTQC_CHECK(level <= levels_, "level out of range");
   std::vector<bool> bits(block_size_);
   for (size_t i = 0; i < block_size_; ++i) bits[i] = errors.get(i);
+  const gf2::Hamming743& hamming = gf2::hamming743();
   for (size_t l = 0; l < level; ++l) {
     std::vector<bool> up(bits.size() / 7);
     for (size_t b = 0; b < up.size(); ++b) {
       gf2::BitVec block(7);
       for (size_t q = 0; q < 7; ++q) block.set(q, bits[7 * b + q]);
-      up[b] = hamming_.decode_logical(block);
+      up[b] = hamming.decode_logical(block);
     }
     bits = std::move(up);
   }
@@ -48,7 +50,7 @@ double ConcatenatedSteane::logical_failure_rate(double p, size_t shots,
 
 double ConcatenatedSteane::block_failure_exact(double p) {
   // Sum over all 2^7 patterns: P(pattern) * [decodes to logical flip].
-  static const gf2::Hamming743 hamming;
+  const gf2::Hamming743& hamming = gf2::hamming743();
   double total = 0;
   for (uint32_t pattern = 0; pattern < 128; ++pattern) {
     gf2::BitVec block(7);

@@ -5,7 +5,6 @@
 
 #include "common/rng.h"
 #include "gf2/bitvec.h"
-#include "gf2/hamming.h"
 
 namespace ftqc::codes {
 
@@ -51,7 +50,6 @@ class ConcatenatedSteane {
  private:
   size_t levels_;
   size_t block_size_;
-  gf2::Hamming743 hamming_;
 };
 
 }  // namespace ftqc::codes

@@ -9,7 +9,6 @@ using pauli::PauliString;
 
 const StabilizerCode& steane() {
   static const StabilizerCode code = [] {
-    const gf2::Hamming743 hamming;
     // Self-dual CSS construction, with the paper's transversal logicals.
     std::vector<PauliString> generators = {
         PauliString::from_string("IIIZZZZ"), PauliString::from_string("IZZIIZZ"),

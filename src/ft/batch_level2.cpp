@@ -34,7 +34,7 @@ void BatchLevel2Recovery::apply_memory_noise(double p) {
 }
 
 void BatchLevel2Recovery::run_cycle() {
-  level2_cycle(lanes_, policy_, hamming_);
+  level2_cycle(lanes_, policy_);
 }
 
 void BatchLevel2Recovery::residual_logical(bool phase_type,
@@ -44,7 +44,7 @@ void BatchLevel2Recovery::residual_logical(bool phase_type,
     rows[q] = phase_type ? sim_.z_flips(q) : sim_.x_flips(q);
   }
   std::vector<uint64_t> logicals(7 * words_);
-  level2_decode_rows(hamming_, rows, logicals.data(), out, words_);
+  level2_decode_rows(rows, logicals.data(), out, words_);
 }
 
 uint64_t BatchLevel2Recovery::count_any_logical_error(size_t num_lanes) const {
@@ -59,13 +59,11 @@ uint64_t BatchLevel2Recovery::count_any_logical_error(size_t num_lanes) const {
 // One lane only: the whole-register bit-sliced decode would make a
 // loop-over-shots caller quadratic.
 bool BatchLevel2Recovery::logical_x_error(size_t shot) const {
-  return level2_decode_shot(
-      hamming_, [&](size_t q) { return sim_.x_flip(q, shot); });
+  return level2_decode_shot([&](size_t q) { return sim_.x_flip(q, shot); });
 }
 
 bool BatchLevel2Recovery::logical_z_error(size_t shot) const {
-  return level2_decode_shot(
-      hamming_, [&](size_t q) { return sim_.z_flip(q, shot); });
+  return level2_decode_shot([&](size_t q) { return sim_.z_flip(q, shot); });
 }
 
 }  // namespace ftqc::ft

@@ -6,7 +6,6 @@
 #include "ft/batch_recovery.h"
 #include "ft/lanes.h"
 #include "ft/recovery.h"
-#include "gf2/hamming.h"
 #include "sim/batch_frame_sim.h"
 #include "sim/noise_model.h"
 
@@ -80,7 +79,6 @@ class BatchLevel2Recovery {
   sim::BatchFrameSim sim_;
   BatchLanes lanes_;
   RecoveryPolicy policy_;
-  gf2::Hamming743 hamming_;
   size_t words_;
 };
 

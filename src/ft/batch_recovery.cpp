@@ -423,8 +423,7 @@ void BatchSteaneRecovery::apply_memory_noise(double p) {
 
 void BatchSteaneRecovery::run_cycle() {
   BatchLanes lanes(sim_, noise_);
-  steane_cycle(lanes, policy_, hamming_, steane_register_cycle(),
-               /*active=*/nullptr);
+  steane_cycle(lanes, policy_, steane_register_cycle(), /*active=*/nullptr);
 }
 
 uint64_t BatchSteaneRecovery::count_frames(bool logical,
@@ -436,8 +435,9 @@ uint64_t BatchSteaneRecovery::count_frames(bool logical,
     z_rows[i] = sim_.z_flips(steane_layout::kData[i]);
   }
   std::vector<uint64_t> lx(words_), lz(words_);
-  batch_decode_rows(hamming_, x_rows, logical, lx.data(), words_);
-  batch_decode_rows(hamming_, z_rows, logical, lz.data(), words_);
+  const gf2::Hamming743& hamming = gf2::hamming743();
+  batch_decode_rows(hamming, x_rows, logical, lx.data(), words_);
+  batch_decode_rows(hamming, z_rows, logical, lz.data(), words_);
   sim::simd::or_into(lx.data(), lz.data(), words_);
   return batch_count_lanes(lx.data(), words_,
                            std::min(num_lanes, sim_.num_shots()));
@@ -456,7 +456,7 @@ bool BatchSteaneRecovery::logical_x_error(size_t shot) const {
   for (size_t q = 0; q < 7; ++q) {
     word.set(q, sim_.x_flip(steane_layout::kData[q], shot));
   }
-  return hamming_.decode_logical(word);
+  return gf2::hamming743().decode_logical(word);
 }
 
 bool BatchSteaneRecovery::logical_z_error(size_t shot) const {
@@ -464,7 +464,7 @@ bool BatchSteaneRecovery::logical_z_error(size_t shot) const {
   for (size_t q = 0; q < 7; ++q) {
     word.set(q, sim_.z_flip(steane_layout::kData[q], shot));
   }
-  return hamming_.decode_logical(word);
+  return gf2::hamming743().decode_logical(word);
 }
 
 }  // namespace ftqc::ft

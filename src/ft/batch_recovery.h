@@ -332,7 +332,6 @@ class BatchSteaneRecovery {
   sim::BatchFrameSim sim_;
   sim::NoiseParams noise_;
   RecoveryPolicy policy_;
-  gf2::Hamming743 hamming_;
   size_t words_;
 };
 

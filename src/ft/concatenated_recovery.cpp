@@ -29,7 +29,7 @@ constexpr uint32_t kAncB = 98;
 constexpr uint32_t kBlock = Level2Recovery::kBlock;
 
 // The level-2 |0>_code preparation on the 49-qubit block at `base`.
-sim::Circuit level2_zero_prep(const gf2::Hamming743& hamming, uint32_t base) {
+sim::Circuit level2_zero_prep(uint32_t base) {
   sim::Circuit c;
   // Seven level-1 |0>_code preparations (built on local qubits 0..6 and
   // remapped onto the subblock).
@@ -47,7 +47,9 @@ sim::Circuit level2_zero_prep(const gf2::Hamming743& hamming, uint32_t base) {
   for (uint32_t a : avoid) avoided[a] = true;
   // Re-derive the pivoted rows (same algorithm as steane_zero_prep).
   std::vector<gf2::BitVec> rows;
-  for (size_t r = 0; r < 3; ++r) rows.push_back(hamming.check_matrix().row(r));
+  for (size_t r = 0; r < 3; ++r) {
+    rows.push_back(gf2::hamming743().check_matrix().row(r));
+  }
   std::vector<size_t> pivots;
   size_t next = 0;
   for (size_t col = 0; col < 7 && next < rows.size(); ++col) {
@@ -90,8 +92,8 @@ const Level2Circuits& level2_circuits() {
     const auto scratch_a = level2_subblock(Level2Recovery::kScratchA, 0);
     const auto scratch_b = level2_subblock(Level2Recovery::kScratchB, 0);
     Level2Circuits c;
-    c.prep_a = level2_zero_prep(gf2::Hamming743{}, kAncA);
-    c.prep_b = level2_zero_prep(gf2::Hamming743{}, kAncB);
+    c.prep_a = level2_zero_prep(kAncA);
+    c.prep_b = level2_zero_prep(kAncB);
     for (uint32_t i = 0; i < kBlock; ++i) c.verify.cx(kAncA + i, kAncB + i);
     c.verify.tick();
     for (uint32_t i = 0; i < kBlock; ++i) c.verify.m(kAncB + i);
@@ -125,9 +127,9 @@ const Level2Circuits& level2_circuits() {
   return kCircuits;
 }
 
-void level2_decode_rows(const gf2::Hamming743& hamming,
-                        const uint64_t* const rows[49], uint64_t* logicals,
+void level2_decode_rows(const uint64_t* const rows[49], uint64_t* logicals,
                         uint64_t* out, size_t words) {
+  const gf2::Hamming743& hamming = gf2::hamming743();
   for (size_t sub = 0; sub < 7; ++sub) {
     batch_decode_rows(hamming, rows + 7 * sub, /*logical=*/true,
                       logicals + sub * words, words);
@@ -145,11 +147,9 @@ namespace {
 template <typename Lanes>
 class Level2Cycle {
  public:
-  Level2Cycle(Lanes& lanes, const RecoveryPolicy& policy,
-              const gf2::Hamming743& hamming)
+  Level2Cycle(Lanes& lanes, const RecoveryPolicy& policy)
       : lanes_(lanes),
         policy_(policy),
-        hamming_(hamming),
         circuits_(level2_circuits()),
         words_(lanes.words()) {}
 
@@ -193,7 +193,7 @@ class Level2Cycle {
   void run_subblock_recoveries(uint32_t base, const uint64_t* lane_mask) {
     for (const SteaneCycleCircuits& cycle :
          circuits_.subblock_cycles[base == kData ? 0 : 1]) {
-      steane_cycle(lanes_, policy_, hamming_, cycle, lane_mask);
+      steane_cycle(lanes_, policy_, cycle, lane_mask);
     }
   }
 
@@ -228,8 +228,7 @@ class Level2Cycle {
                  "verification must read 49 qubits");
       const uint64_t* flip_rows[49];
       for (size_t i = 0; i < kBlock; ++i) flip_rows[i] = &flips[i * words_];
-      level2_decode_rows(hamming_, flip_rows, logicals.data(), vote.data(),
-                         words_);
+      level2_decode_rows(flip_rows, logicals.data(), vote.data(), words_);
       sim::simd::and_into(votes.data(), vote.data(), words_);
       for (uint32_t i = 0; i < kBlock; ++i) lanes_.reset(kAncB + i);
     }
@@ -273,7 +272,8 @@ class Level2Cycle {
     // plus the level-2 syndrome rows over the bit-sliced subblock logical
     // values. Copied out of the record immediately: nested gadget replays
     // (the exRec data recoveries, the §3.4 repeat) drop the record.
-    const gf2::BitMat& h = hamming_.check_matrix();
+    const gf2::Hamming743& hamming = gf2::hamming743();
+    const gf2::BitMat& h = hamming.check_matrix();
     std::vector<uint64_t> logicals(7 * words_);
     for (size_t sub = 0; sub < 7; ++sub) {
       const uint64_t* sub_rows[7];
@@ -288,7 +288,7 @@ class Level2Cycle {
           sim::simd::xor_into(out, sub_rows[i], words_);
         }
       }
-      batch_decode_rows(hamming_, sub_rows, /*logical=*/true,
+      batch_decode_rows(hamming, sub_rows, /*logical=*/true,
                         logicals.data() + sub * words_, words_);
     }
     for (size_t j = 0; j < 3; ++j) {
@@ -377,7 +377,6 @@ class Level2Cycle {
 
   Lanes& lanes_;
   const RecoveryPolicy& policy_;
-  const gf2::Hamming743& hamming_;
   const Level2Circuits& circuits_;
   size_t words_;
 };
@@ -385,15 +384,12 @@ class Level2Cycle {
 }  // namespace
 
 template <typename Lanes>
-void level2_cycle(Lanes& lanes, const RecoveryPolicy& policy,
-                  const gf2::Hamming743& hamming) {
-  Level2Cycle<Lanes>(lanes, policy, hamming).run();
+void level2_cycle(Lanes& lanes, const RecoveryPolicy& policy) {
+  Level2Cycle<Lanes>(lanes, policy).run();
 }
 
-template void level2_cycle<BatchLanes>(BatchLanes&, const RecoveryPolicy&,
-                                       const gf2::Hamming743&);
-template void level2_cycle<FrameLane>(FrameLane&, const RecoveryPolicy&,
-                                      const gf2::Hamming743&);
+template void level2_cycle<BatchLanes>(BatchLanes&, const RecoveryPolicy&);
+template void level2_cycle<FrameLane>(FrameLane&, const RecoveryPolicy&);
 
 Level2Recovery::Level2Recovery(const sim::NoiseParams& noise,
                                RecoveryPolicy policy, uint64_t seed)
@@ -419,17 +415,15 @@ void Level2Recovery::apply_memory_noise(double p) {
 
 void Level2Recovery::run_cycle() {
   FrameLane lane(frame_, *injector_);
-  level2_cycle(lane, policy_, hamming_);
+  level2_cycle(lane, policy_);
 }
 
 bool Level2Recovery::logical_x_error() const {
-  return level2_decode_shot(
-      hamming_, [&](size_t q) { return frame_.x_frame().get(q); });
+  return level2_decode_shot([&](size_t q) { return frame_.x_frame().get(q); });
 }
 
 bool Level2Recovery::logical_z_error() const {
-  return level2_decode_shot(
-      hamming_, [&](size_t q) { return frame_.z_frame().get(q); });
+  return level2_decode_shot([&](size_t q) { return frame_.z_frame().get(q); });
 }
 
 }  // namespace ftqc::ft

@@ -52,21 +52,19 @@ struct Level2Circuits {
 // markers ("prep:A", "exrec:A", "verify", "extract", "exrec:data", each
 // closed by a ":end" marker).
 template <typename Lanes>
-void level2_cycle(Lanes& lanes, const RecoveryPolicy& policy,
-                  const gf2::Hamming743& hamming);
+void level2_cycle(Lanes& lanes, const RecoveryPolicy& policy);
 
 // Hierarchical decode of 49 bit-sliced rows of `words` words (record flips
 // or residual frames): writes the seven subblock logical-value words into
 // `logicals` (7 * words) and the level-2 logical decode into `out`.
-void level2_decode_rows(const gf2::Hamming743& hamming,
-                        const uint64_t* const rows[49], uint64_t* logicals,
+void level2_decode_rows(const uint64_t* const rows[49], uint64_t* logicals,
                         uint64_t* out, size_t words);
 
 // Hierarchical ideal decode of one shot's residual on the 49-qubit data
 // block: `flip(q)` is the frame bit of data qubit q on the side decoded.
 template <typename Flip>
-[[nodiscard]] bool level2_decode_shot(const gf2::Hamming743& hamming,
-                                      Flip flip) {
+[[nodiscard]] bool level2_decode_shot(Flip flip) {
+  const gf2::Hamming743& hamming = gf2::hamming743();
   gf2::BitVec logicals(7);
   for (size_t sub = 0; sub < 7; ++sub) {
     gf2::BitVec word(7);
@@ -137,7 +135,6 @@ class Level2Recovery {
  private:
   sim::FrameSim frame_;
   RecoveryPolicy policy_;
-  gf2::Hamming743 hamming_;
   StochasticInjector stochastic_;
   NoiseInjector* injector_;
 };

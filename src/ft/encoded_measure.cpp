@@ -13,10 +13,9 @@ using pauli::PauliString;
 bool destructive_logical_measure(sim::TableauSim& sim,
                                  std::span<const uint32_t> block) {
   FTQC_CHECK(block.size() == 7, "Steane block expected");
-  static const gf2::Hamming743 hamming;
   gf2::BitVec word(7);
   for (size_t i = 0; i < 7; ++i) word.set(i, sim.measure_z(block[i]));
-  return hamming.decode_logical(word);
+  return gf2::hamming743().decode_logical(word);
 }
 
 bool nondestructive_logical_measure(sim::TableauSim& sim,

@@ -102,7 +102,6 @@ Circuit css_zero_prep(const BitMat& hx, std::span<const uint32_t> qubits,
 
 Circuit steane_encoder(std::span<const uint32_t> qubits) {
   FTQC_CHECK(qubits.size() == 7, "Steane encoder needs seven qubits");
-  const gf2::Hamming743 hamming;
   // Logical-X support {0,1,2}: 1110000 is an odd-weight Hamming codeword in
   // the Eq. (1) convention, so the two fan-out XORs prepare
   // a|0000000> + b|1110000>.
@@ -116,7 +115,8 @@ Circuit steane_encoder(std::span<const uint32_t> qubits) {
   // Superpose the even subcode on top, pivoting away from {0,1,2}.
   const uint32_t avoid[3] = {0, 1, 2};
   std::vector<size_t> pivots;
-  const auto rows = pivoted_rows(hamming.check_matrix(), avoid, &pivots);
+  const auto rows =
+      pivoted_rows(gf2::hamming743().check_matrix(), avoid, &pivots);
   for (size_t r = 0; r < rows.size(); ++r) c.h(qubits[pivots[r]]);
   c.tick();
   std::vector<std::pair<uint32_t, uint32_t>> cnots;
@@ -133,8 +133,7 @@ Circuit steane_encoder(std::span<const uint32_t> qubits) {
 
 Circuit steane_zero_prep(std::span<const uint32_t> qubits) {
   FTQC_CHECK(qubits.size() == 7, "Steane prep needs seven qubits");
-  const gf2::Hamming743 hamming;
-  return css_zero_prep(hamming.check_matrix(), qubits);
+  return css_zero_prep(gf2::hamming743().check_matrix(), qubits);
 }
 
 Circuit steane_plus_prep(std::span<const uint32_t> qubits) {
@@ -146,13 +145,13 @@ Circuit steane_plus_prep(std::span<const uint32_t> qubits) {
 
 Circuit nonft_bitflip_syndrome(std::span<const uint32_t> data, uint32_t ancilla) {
   FTQC_CHECK(data.size() == 7, "Steane block has seven qubits");
-  const gf2::Hamming743 hamming;
+  const gf2::BitMat& h = gf2::hamming743().check_matrix();
   Circuit c;
   for (size_t row = 0; row < 3; ++row) {
     c.r(ancilla);
     c.tick();
     for (size_t col = 0; col < 7; ++col) {
-      if (hamming.check_matrix().get(row, col)) {
+      if (h.get(row, col)) {
         c.cx(data[col], ancilla);  // one shared target: the Fig. 6 mistake
         c.tick();
       }

@@ -9,6 +9,7 @@
 #include "ft/lanes.h"
 #include "ft/steane_circuits.h"
 #include "ft/steane_layout.h"
+#include "gf2/hamming.h"
 #include "sim/simd.h"
 
 namespace ftqc::ft {
@@ -25,11 +26,9 @@ template <typename Lanes>
 class SteaneCycle {
  public:
   SteaneCycle(Lanes& lanes, const RecoveryPolicy& policy,
-              const gf2::Hamming743& hamming,
               const SteaneCycleCircuits& circuits)
       : lanes_(lanes),
         policy_(policy),
-        hamming_(hamming),
         layout_(circuits.layout),
         circuits_(circuits),
         words_(lanes.words()) {
@@ -86,7 +85,7 @@ class SteaneCycle {
                  "destructive measure must read 7 qubits");
       const uint64_t* flip_rows[7];
       for (size_t i = 0; i < 7; ++i) flip_rows[i] = &flips[i * words_];
-      batch_decode_rows(hamming_, flip_rows, /*logical=*/true, vote,
+      batch_decode_rows(gf2::hamming743(), flip_rows, /*logical=*/true, vote,
                         words_);
       sim::simd::and_into(votes, vote, words_);
       for (uint32_t q : layout_.anc_b) lanes_.reset(q);
@@ -118,7 +117,7 @@ class SteaneCycle {
         lanes_.run(circuits_.syndrome[phase_type], data_and_a_, lane_mask);
     FTQC_CHECK(flips.size() == 7 * words_,
                "syndrome extraction must read 7 qubits");
-    const gf2::BitMat& h = hamming_.check_matrix();
+    const gf2::BitMat& h = gf2::hamming743().check_matrix();
     for (size_t j = 0; j < 3; ++j) {
       uint64_t* out = syndrome_rows + j * words_;
       std::fill_n(out, words_, 0);
@@ -144,7 +143,6 @@ class SteaneCycle {
 
   Lanes& lanes_;
   const RecoveryPolicy& policy_;
-  const gf2::Hamming743& hamming_;
   const SteaneCycleLayout& layout_;
   const SteaneCycleCircuits& circuits_;
   size_t words_;
@@ -176,18 +174,15 @@ const SteaneCycleCircuits& steane_register_cycle() {
 
 template <typename Lanes>
 void steane_cycle(Lanes& lanes, const RecoveryPolicy& policy,
-                  const gf2::Hamming743& hamming,
                   const SteaneCycleCircuits& circuits,
                   const uint64_t* active) {
-  SteaneCycle<Lanes>(lanes, policy, hamming, circuits).run(active);
+  SteaneCycle<Lanes>(lanes, policy, circuits).run(active);
 }
 
 template void steane_cycle<BatchLanes>(BatchLanes&, const RecoveryPolicy&,
-                                       const gf2::Hamming743&,
                                        const SteaneCycleCircuits&,
                                        const uint64_t*);
 template void steane_cycle<FrameLane>(FrameLane&, const RecoveryPolicy&,
-                                      const gf2::Hamming743&,
                                       const SteaneCycleCircuits&,
                                       const uint64_t*);
 
@@ -215,20 +210,19 @@ void SteaneRecovery::apply_memory_noise(double p) {
 
 void SteaneRecovery::run_cycle() {
   FrameLane lane(frame_, *injector_);
-  steane_cycle(lane, policy_, hamming_, steane_register_cycle(),
-               /*active=*/nullptr);
+  steane_cycle(lane, policy_, steane_register_cycle(), /*active=*/nullptr);
 }
 
 bool SteaneRecovery::logical_x_error() const {
   gf2::BitVec word(7);
   for (size_t q = 0; q < 7; ++q) word.set(q, frame_.x_frame().get(q));
-  return hamming_.decode_logical(word);
+  return gf2::hamming743().decode_logical(word);
 }
 
 bool SteaneRecovery::logical_z_error() const {
   gf2::BitVec word(7);
   for (size_t q = 0; q < 7; ++q) word.set(q, frame_.z_frame().get(q));
-  return hamming_.decode_logical(word);
+  return gf2::hamming743().decode_logical(word);
 }
 
 size_t SteaneRecovery::residual_x_weight() const {
@@ -246,9 +240,9 @@ size_t SteaneRecovery::residual_z_weight() const {
 namespace {
 // Minimum weight of `word` xored with any even Hamming codeword (the
 // stabilizer supports of the self-dual Steane code).
-size_t coset_weight(const gf2::Hamming743& hamming, const gf2::BitVec& word) {
+size_t coset_weight(const gf2::BitVec& word) {
   size_t best = 8;
-  for (uint8_t stab : hamming.even_codewords()) {
+  for (uint8_t stab : gf2::hamming743().even_codewords()) {
     size_t w = 0;
     for (size_t q = 0; q < 7; ++q) w += word.get(q) ^ ((stab >> q) & 1u);
     best = std::min(best, w);
@@ -260,13 +254,13 @@ size_t coset_weight(const gf2::Hamming743& hamming, const gf2::BitVec& word) {
 size_t SteaneRecovery::residual_x_coset_weight() const {
   gf2::BitVec word(7);
   for (size_t q = 0; q < 7; ++q) word.set(q, frame_.x_frame().get(q));
-  return coset_weight(hamming_, word);
+  return coset_weight(word);
 }
 
 size_t SteaneRecovery::residual_z_coset_weight() const {
   gf2::BitVec word(7);
   for (size_t q = 0; q < 7; ++q) word.set(q, frame_.z_frame().get(q));
-  return coset_weight(hamming_, word);
+  return coset_weight(word);
 }
 
 }  // namespace ftqc::ft

@@ -5,7 +5,6 @@
 
 #include "ft/noise_injector.h"
 #include "ft/recovery.h"
-#include "gf2/hamming.h"
 #include "sim/frame_sim.h"
 #include "sim/noise_model.h"
 
@@ -57,7 +56,6 @@ struct SteaneCycleCircuits {
 // one inside its own per-lane control flow.
 template <typename Lanes>
 void steane_cycle(Lanes& lanes, const RecoveryPolicy& policy,
-                  const gf2::Hamming743& hamming,
                   const SteaneCycleCircuits& circuits, const uint64_t* active);
 
 // Fault-tolerant error recovery for one Steane block using Steane's
@@ -125,7 +123,6 @@ class SteaneRecovery {
  private:
   sim::FrameSim frame_;
   RecoveryPolicy policy_;
-  gf2::Hamming743 hamming_;
   StochasticInjector stochastic_;
   NoiseInjector* injector_;  // points at stochastic_ unless overridden
 };

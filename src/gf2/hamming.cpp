@@ -34,6 +34,11 @@ Hamming743::Hamming743()
              "even/odd Hamming subsets must have 8 words each");
 }
 
+const Hamming743& hamming743() {
+  static const Hamming743 kCode;
+  return kCode;
+}
+
 BitVec Hamming743::correct(BitVec word) const {
   const size_t pos = error_position(syndrome(word));
   if (pos < kN) word.flip(pos);

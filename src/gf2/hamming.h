@@ -66,6 +66,12 @@ class Hamming743 {
   std::vector<uint8_t> odd_;
 };
 
+// The one process-wide Hamming743, built on first use (thread-safe static
+// initialization) and read-only afterwards. Every driver, circuit builder
+// and decoder reads it here, so a driver built per shot does not re-run the
+// codeword search above.
+[[nodiscard]] const Hamming743& hamming743();
+
 // General binary linear code defined by a parity check matrix; used for the
 // larger-code discussions of §3.6 / §5 (e.g. the [15,11,3] Hamming code that
 // seeds the [[15,7,3]] CSS construction).
