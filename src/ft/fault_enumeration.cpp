@@ -1,6 +1,7 @@
 #include "ft/fault_enumeration.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numeric>
 #include <random>
@@ -167,6 +168,20 @@ FaultUniverse record_fault_universe(const GadgetExperiment& run,
 
 namespace {
 
+// The filter's verdict for each LocationKind, indexed by the kind: the
+// samplers' injectors build it once and look every location up in it.
+using KindTable = std::array<bool, 5>;
+static_assert(static_cast<size_t>(LocationKind::kStorage) == 4,
+              "KindTable holds one entry per LocationKind");
+
+KindTable kind_table(const KindFilter& filter) {
+  KindTable table{};
+  for (size_t kind = 0; kind < table.size(); ++kind) {
+    table[kind] = filter(static_cast<LocationKind>(kind));
+  }
+  return table;
+}
+
 // Per-location Bernoulli(q) proposal injector for runtime-conditioned
 // stratum sampling: every filter-passing location faults independently with
 // probability q, with a uniform variant applied through the same
@@ -178,7 +193,7 @@ namespace {
 class BernoulliFaultInjector final : public NoiseInjector {
  public:
   BernoulliFaultInjector(double q, const KindFilter& filter, uint64_t seed)
-      : q_(q), filter_(filter), rng_(seed) {}
+      : q_(q), eligible_(kind_table(filter)), rng_(seed) {}
 
   void on_gate1(sim::FrameSim& sim, uint32_t q) override {
     if (step(LocationKind::kGate1)) {
@@ -208,7 +223,7 @@ class BernoulliFaultInjector final : public NoiseInjector {
  private:
   // Advances the path and decides whether this location faults.
   bool step(LocationKind kind) {
-    if (!filter_(kind)) return false;
+    if (!eligible_[static_cast<size_t>(kind)]) return false;
     ++locations_;
     if (dist_(rng_) >= q_) return false;
     ++faults_;
@@ -219,7 +234,7 @@ class BernoulliFaultInjector final : public NoiseInjector {
   }
 
   double q_;
-  const KindFilter& filter_;
+  KindTable eligible_;
   std::mt19937_64 rng_;
   std::uniform_real_distribution<double> dist_{0.0, 1.0};
   size_t locations_ = 0;
@@ -321,7 +336,7 @@ class CountingStochasticInjector final : public NoiseInjector {
  public:
   CountingStochasticInjector(const sim::NoiseParams& params,
                              const KindFilter& filter)
-      : noise_(params), filter_(filter) {}
+      : noise_(params), eligible_(kind_table(filter)) {}
 
   void on_gate1(sim::FrameSim& sim, uint32_t q) override {
     count(LocationKind::kGate1);
@@ -348,11 +363,11 @@ class CountingStochasticInjector final : public NoiseInjector {
 
  private:
   void count(LocationKind kind) {
-    if (filter_(kind)) ++locations_;
+    if (eligible_[static_cast<size_t>(kind)]) ++locations_;
   }
 
   StochasticInjector noise_;
-  const KindFilter& filter_;
+  KindTable eligible_;
   size_t locations_ = 0;
 };
 

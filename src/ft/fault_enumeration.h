@@ -20,7 +20,11 @@ namespace ftqc::ft {
 // the weighted count of failing fault *pairs* (Eq. 33's "21").
 using GadgetExperiment = std::function<bool(NoiseInjector&)>;
 
-// Which location kinds can fault (mirrors which ε knobs are nonzero).
+// Which location kinds can fault (mirrors which ε knobs are nonzero). A
+// filter must be a pure function of the kind: the rare-event samplers
+// (sample_conditioned_fault_sets, calibrate_mean_locations) evaluate it
+// once per LocationKind when each shot's injector is built, and look every
+// location up in that table.
 using KindFilter = std::function<bool(LocationKind)>;
 
 [[nodiscard]] inline KindFilter all_kinds() {
