@@ -6,25 +6,24 @@
 
 namespace ftqc::ft {
 
-std::vector<uint8_t> run_gadget(sim::FrameSim& frame,
-                                const sim::Circuit& circuit,
-                                NoiseInjector& injector,
-                                std::span<const uint32_t> active_qubits) {
+void run_gadget(sim::FrameSim& frame, const sim::Circuit& circuit,
+                NoiseInjector& injector,
+                std::span<const uint32_t> active_qubits,
+                std::vector<uint64_t>& record, std::vector<uint8_t>& touched) {
   using sim::Gate;
-  std::vector<uint8_t> record;
-  record.reserve(circuit.num_measurements());
-  std::vector<bool> touched(frame.num_qubits(), false);
+  record.clear();
+  touched.assign(frame.num_qubits(), 0);
 
   const auto flush_storage = [&] {
     for (uint32_t q : active_qubits) {
       if (!touched[q]) injector.on_storage(frame, q);
     }
-    std::fill(touched.begin(), touched.end(), false);
+    std::fill(touched.begin(), touched.end(), 0);
   };
 
   for (const sim::Operation& op : circuit.ops()) {
     FTQC_CHECK(op.cond < 0, "gadget circuits cannot use feedforward");
-    for (uint32_t t : op.targets) touched[t] = true;
+    for (uint32_t t : op.targets) touched[t] = 1;
     switch (op.gate) {
       case Gate::TICK:
         flush_storage();
@@ -91,7 +90,16 @@ std::vector<uint8_t> run_gadget(sim::FrameSim& frame,
                               sim::gate_name(op.gate));
     }
   }
-  return record;
+}
+
+std::vector<uint8_t> run_gadget(sim::FrameSim& frame,
+                                const sim::Circuit& circuit,
+                                NoiseInjector& injector,
+                                std::span<const uint32_t> active_qubits) {
+  std::vector<uint64_t> record;
+  std::vector<uint8_t> touched;
+  run_gadget(frame, circuit, injector, active_qubits, record, touched);
+  return {record.begin(), record.end()};
 }
 
 }  // namespace ftqc::ft

@@ -15,11 +15,20 @@ namespace ftqc::ft {
 // R (preparation noise), before each M/MX (measurement noise), and at each
 // TICK for every qubit of `active_qubits` that rested during the layer
 // (storage noise, §6 "maximal parallelism": only the resting qubits decohere
-// extra). Returns measurement flips relative to the noiseless reference.
+// extra). Writes the measurement flips relative to the noiseless reference
+// into `record`, one entry per measurement in order.
 //
 // `active_qubits` names the qubits considered alive for storage accounting;
 // gadget drivers pass the data block plus any in-flight ancillas and exclude
-// qubits not yet prepared.
+// qubits not yet prepared. `touched` is per-qubit scratch for it. Both
+// buffers are overwritten and keep their capacity, so a caller that owns
+// them (the one-lane FrameLane) replays gadgets without allocating.
+void run_gadget(sim::FrameSim& frame, const sim::Circuit& circuit,
+                NoiseInjector& injector,
+                std::span<const uint32_t> active_qubits,
+                std::vector<uint64_t>& record, std::vector<uint8_t>& touched);
+
+// The same in fresh buffers, returning the flips.
 std::vector<uint8_t> run_gadget(sim::FrameSim& frame, const sim::Circuit& circuit,
                                 NoiseInjector& injector,
                                 std::span<const uint32_t> active_qubits);

@@ -23,8 +23,7 @@ std::span<const uint64_t> FrameLane::run(
   if (!on(mask)) {
     record_.assign(circuit.num_measurements(), 0);
   } else {
-    const auto flips = run_gadget(frame_, circuit, injector_, active_qubits);
-    record_.assign(flips.begin(), flips.end());
+    run_gadget(frame_, circuit, injector_, active_qubits, record_, touched_);
   }
   return record_;
 }
@@ -38,12 +37,12 @@ uint64_t FrameLane::retry(const sim::Circuit& prep,
   if (!on(mask)) return 0;
   uint64_t failures = 0;
   for (int attempt = 0; attempt < attempts; ++attempt) {
-    const auto flips = run_gadget(frame_, prep, injector_, active_qubits);
+    run_gadget(frame_, prep, injector_, active_qubits, record_, touched_);
     bool failed = false;
     if (check) {
-      FTQC_CHECK(flips.size() == 1,
+      FTQC_CHECK(record_.size() == 1,
                  "a checked prep must measure exactly the check qubit");
-      failed = flips[0] != 0;
+      failed = record_[0] != 0;
     }
     if (herald) {
       for (const uint32_t q : block) failed = failed || frame_.is_erased(q);

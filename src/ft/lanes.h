@@ -90,10 +90,11 @@ class BatchLanes {
 
 // One shot on a FrameSim, announcing every fault opportunity to a
 // NoiseInjector: one word per mask, bit 0 is the shot (the other bits carry
-// no meaning and are never read). A gadget runs through run_gadget, and is
-// skipped (its rows read zero) when the bit is clear; a masked hook fires
-// only when the bit is set. The retry is the serial loop, and markers go to
-// the injector. This is what lets the serial drivers keep what only the
+// no meaning and are never read). A gadget runs through run_gadget, into a
+// record and a storage scratch the lane owns (a cycle allocates them once),
+// and is skipped (its rows read zero) when the bit is clear; a masked hook
+// fires only when the bit is set. The retry is the serial loop, and markers
+// go to the injector. This is what lets the serial drivers keep what only the
 // serial engine offers — leakage, FaultPointInjector scans and markers,
 // rare-event proposals — on the same cycle bodies as the batch engine.
 class FrameLane {
@@ -139,6 +140,7 @@ class FrameLane {
   sim::FrameSim& frame_;
   NoiseInjector& injector_;
   std::vector<uint64_t> record_;
+  std::vector<uint8_t> touched_;
 };
 
 }  // namespace ftqc::ft
