@@ -5,6 +5,7 @@
 #include <cmath>
 #include <numeric>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "common/check.h"
@@ -390,6 +391,20 @@ double calibrate_mean_locations(const SeededGadgetExperiment& run,
 RareEventSweep estimate_rare_failure_sweep(const GadgetExperiment& run,
                                            const std::vector<double>& eps_points,
                                            const RareEventOptions& options) {
+  // Checked before any replay: a bad point would otherwise spend the whole
+  // budget and report NaN (eps outside [0, 1]) or a certainty as zero
+  // (eps = 1), and a bad override would silently fall back to N0.
+  FTQC_CHECK(!eps_points.empty(), "eps_points must hold at least one eps");
+  for (const double eps : eps_points) {
+    FTQC_CHECK(std::isfinite(eps) && eps >= 0.0 && eps < 1.0,
+               "every eps of eps_points must lie in [0, 1), got " +
+                   std::to_string(eps));
+  }
+  FTQC_CHECK(std::isfinite(options.n_eff_override) &&
+                 options.n_eff_override >= 0.0,
+             "n_eff_override must be finite and >= 0 (0 = the noiseless "
+             "location count), got " +
+                 std::to_string(options.n_eff_override));
   // Runtime conditioning drives the whole gadget; a location window would
   // silently mean something different here than in the recorded-path scans.
   FTQC_CHECK(options.scan.first_location == 0 &&

@@ -277,7 +277,8 @@ struct RareEventOptions {
   // (calibrated N_eff from calibrate_mean_locations); 0 = the universe's
   // noiseless count. Sampled strata replace the fallback with the
   // likelihood-ratio weight, so this only tunes acceptance rates and the
-  // unsampled-tail bound, not the estimate's center.
+  // unsampled-tail bound, not the estimate's center. Must be finite and
+  // >= 0.
   double n_eff_override = 0;
 };
 
@@ -293,6 +294,8 @@ struct RareEventSweep {
   size_t shots = 0;
 };
 
+// `eps_points` must be nonempty, with every eps finite and in [0, 1);
+// anything else fails a check before the first replay.
 [[nodiscard]] RareEventSweep estimate_rare_failure_sweep(
     const GadgetExperiment& run, const std::vector<double>& eps_points,
     const RareEventOptions& options);

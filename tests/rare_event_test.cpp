@@ -8,6 +8,7 @@
 
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "common/stats.h"
@@ -181,6 +182,34 @@ TEST(RareEventSweep, DeterministicForEqualSeeds) {
     EXPECT_EQ(a.strata[k].successes, b.strata[k].successes);
     EXPECT_EQ(a.strata[k].trials, b.strata[k].trials);
   }
+}
+
+TEST(RareEventSweep, RejectsBadEpsPointsAndNeffOverride) {
+  RareEventOptions options;
+  options.max_faults = 3;
+  options.budget = 2000;
+  const auto sweep = [&](const std::vector<double>& eps) {
+    return estimate_rare_failure_sweep(toy5_fails, eps, options);
+  };
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  // eps > 1 and eps < 0 came back as NaN after the whole budget, eps = 1 as
+  // mean 0 where P(fail) = 1, and an empty list spent the budget for no
+  // estimate.
+  for (const double eps : {1.5, 1.0, -1e-3, nan, inf}) {
+    EXPECT_DEATH((void)sweep({1e-3, eps}), "every eps of eps_points");
+  }
+  EXPECT_DEATH((void)sweep({}), "eps_points must hold");
+  // A NaN or negative override fell back to the noiseless count.
+  for (const double n_eff : {nan, -3.0, inf}) {
+    options.n_eff_override = n_eff;
+    EXPECT_DEATH((void)sweep({1e-3}), "n_eff_override must be finite");
+  }
+  // eps = 0 stays legal, and fails never.
+  options.n_eff_override = 0;
+  const RareEventSweep zero = sweep({0.0, 1e-3});
+  EXPECT_EQ(zero.estimates[0].mean, 0.0);
+  EXPECT_GT(zero.estimates[1].mean, 0.0);
 }
 
 TEST(ConditionedSampler, ChunkBoundariesDoNotChangeTheSample) {
