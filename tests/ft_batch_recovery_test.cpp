@@ -6,6 +6,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <latch>
+#include <thread>
 #include <vector>
 
 #include "codes/library.h"
@@ -302,6 +304,66 @@ TEST(BatchGadgetRunner, StorageNoiseHitsRestingActiveQubitsOnMaskedLanes) {
     }
   }
   EXPECT_EQ(quiet.rng().next_u64(), untouched.rng().next_u64());
+}
+
+// Verdicts of fixed-seed Steane cycles on both engines: serial shots, each
+// on a fresh SteaneRecovery, and one BatchSteaneRecovery block.
+struct SteaneVerdicts {
+  std::vector<size_t> serial;
+  std::vector<uint8_t> batch;
+  uint64_t batch_logical = 0;
+  uint64_t batch_residual = 0;
+  bool operator==(const SteaneVerdicts&) const = default;
+};
+
+SteaneVerdicts run_steane_cycles(uint64_t seed) {
+  const auto noise = sim::NoiseParams::uniform_gate(8e-3);
+  SteaneVerdicts out;
+  for (uint64_t s = 0; s < 300; ++s) {
+    SteaneRecovery rec(noise, RecoveryPolicy{}, seed + s);
+    rec.apply_memory_noise(0.01);
+    rec.run_cycle();
+    out.serial.push_back(size_t{rec.logical_x_error()} |
+                         size_t{rec.logical_z_error()} << 1 |
+                         rec.residual_x_coset_weight() << 2 |
+                         rec.residual_z_coset_weight() << 6);
+  }
+  BatchSteaneRecovery batch(noise, RecoveryPolicy{}, /*shots=*/256, seed);
+  batch.apply_memory_noise(0.01);
+  batch.run_cycle();
+  for (size_t lane = 0; lane < batch.num_shots(); ++lane) {
+    out.batch.push_back(batch.any_logical_error(lane));
+  }
+  out.batch_logical = batch.count_any_logical_error();
+  out.batch_residual = batch.count_residual();
+  return out;
+}
+
+// The drivers share process-wide tables built on first use
+// (gf2::hamming743(), steane_register_cycle()). Four threads start at once
+// and build and run both drivers, so under ctest, which runs each test in
+// its own process, they are the tables' first users; CI's TSan job runs
+// this test to check that first use. Each thread's verdicts must equal a
+// serial rerun of the same seeds.
+TEST(SharedTables, ConcurrentDriversMatchSerial) {
+  constexpr size_t kThreads = 4;
+  std::vector<SteaneVerdicts> concurrent(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      concurrent[t] = run_steane_cycles(1000 * (t + 1));
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  uint64_t failures = 0;
+  for (size_t t = 0; t < kThreads; ++t) {
+    const SteaneVerdicts serial = run_steane_cycles(1000 * (t + 1));
+    EXPECT_TRUE(concurrent[t] == serial) << "thread " << t;
+    failures += serial.batch_logical;
+  }
+  EXPECT_GT(failures, 0u);
 }
 
 }  // namespace
