@@ -298,7 +298,10 @@ int main(int argc, char** argv) {
   json.add("pseudothreshold_steane_extrapolated",
            !steane_cross.valid || steane_cross.extrapolated);
   // The interval of each crossing: a higher failure curve crosses 1 at a
-  // smaller eps, so the upper-bound curve gives the interval's low end.
+  // smaller eps, so the upper-bound curve gives the interval's low end. A
+  // bound is reported only when its curve's crossing is bracketed by the
+  // grid: with a handful of failures per point (smoke runs) the bound
+  // curves are nearly flat and extrapolate orders of magnitude below it.
   std::printf("\nCycle pseudothreshold (failure/eps -> 1), with the "
               "crossings of the 95%% Wilson bound curves:\n");
   const char* names[3] = {"flag", "shor", "steane"};
@@ -312,10 +315,15 @@ int main(int argc, char** argv) {
     const ftqc::UnitCrossing hi =
         ftqc::loglog_unit_crossing_ex(cycle_grid, curves[k].lower);
     const std::string key = std::string("pseudothreshold_") + names[k];
-    if (lo.valid) json.add(key + "_lo", lo.x);
-    if (hi.valid) json.add(key + "_hi", hi.x);
-    std::printf("  %s : eps ~ %.2e [%.2e, %.2e] (%s), %d ancillas/generator\n",
-                labels[k], crosses[k]->x, lo.x, hi.x,
+    const auto bound = [&](const ftqc::UnitCrossing& c, const char* suffix) {
+      if (!c.valid || c.extrapolated) return std::string("unresolved");
+      json.add(key + suffix, c.x);
+      return ftqc::strfmt("%.2e", c.x);
+    };
+    const std::string lo_text = bound(lo, "_lo");
+    const std::string hi_text = bound(hi, "_hi");
+    std::printf("  %s : eps ~ %.2e [%s, %s] (%s), %d ancillas/generator\n",
+                labels[k], crosses[k]->x, lo_text.c_str(), hi_text.c_str(),
                 crosses[k]->extrapolated ? "extrapolated" : "bracketed",
                 ancillas[k]);
   }
