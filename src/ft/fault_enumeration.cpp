@@ -169,8 +169,7 @@ FaultUniverse record_fault_universe(const GadgetExperiment& run,
 
 namespace {
 
-// The filter's verdict for each LocationKind, indexed by the kind: the
-// samplers' injectors build it once and look every location up in it.
+// A KindFilter's verdict for each LocationKind, indexed by the kind.
 using KindTable = std::array<bool, 5>;
 static_assert(static_cast<size_t>(LocationKind::kStorage) == 4,
               "KindTable holds one entry per LocationKind");
