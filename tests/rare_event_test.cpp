@@ -2,10 +2,12 @@
 // estimator's exact-mixture property on toy gadgets with analytically known
 // failure sets, chunk-boundary/seed determinism of the stratum sampler,
 // raw-shot charging and known-zero strata under add_shots grants, a
-// direct-vs-stratified cross-check on the real level-1 Steane cycle, and a
-// recorded pin on both sampler injectors' draws on that cycle.
+// direct-vs-stratified cross-check on the real level-1 Steane cycle, a
+// recorded pin on both sampler injectors' draws on that cycle, and the
+// calibration's storage count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <limits>
@@ -479,6 +481,25 @@ TEST(RareEventFingerprint, SteaneCycleSamplersMatchRecorded) {
   EXPECT_GT(mean_locations, n);
   EXPECT_EQ(hash.value(), 0x05d4783ce9507362ull)
       << std::hex << hash.value();
+}
+
+// calibrate_mean_locations counts what its filter asks for, storage
+// included, even at zero storage noise: with every rate 0 each shot takes
+// the noiseless path, so under all_kinds() it counts exactly the recorded
+// universe.
+TEST(RareEventCalibration, AllKindsCountStorageAtZeroNoise) {
+  const GadgetExperiment experiment = [](NoiseInjector& injector) {
+    return steane_cycle_fails(injector, /*seed=*/77);
+  };
+  const FaultUniverse universe =
+      record_fault_universe(experiment, ScanOptions{});
+  ASSERT_GT(std::count(universe.kinds.begin(), universe.kinds.end(),
+                       LocationKind::kStorage),
+            0);
+  const double mean_locations = calibrate_mean_locations(
+      steane_cycle_fails, sim::NoiseParams{}, all_kinds(), /*num_shots=*/20,
+      /*seed=*/5);
+  EXPECT_EQ(mean_locations, static_cast<double>(universe.size()));
 }
 
 }  // namespace
