@@ -216,6 +216,9 @@ class BernoulliFaultInjector final : public NoiseInjector {
       inject_pauli1_fault(sim, q, variant(3));
     }
   }
+  [[nodiscard]] bool acts_on_storage() const override {
+    return eligible_[static_cast<size_t>(LocationKind::kStorage)];
+  }
 
   [[nodiscard]] size_t locations() const { return locations_; }
   [[nodiscard]] size_t faults() const { return faults_; }

@@ -12,7 +12,10 @@ void run_gadget(sim::FrameSim& frame, const sim::Circuit& circuit,
                 std::vector<uint64_t>& record, std::vector<uint8_t>& touched) {
   using sim::Gate;
   record.clear();
-  touched.assign(frame.num_qubits(), 0);
+  // An injector that does nothing at storage locations costs no walk over
+  // the resting qubits, and `touched` is then left as it was.
+  const bool storage = injector.acts_on_storage();
+  if (storage) touched.assign(frame.num_qubits(), 0);
 
   const auto flush_storage = [&] {
     for (uint32_t q : active_qubits) {
@@ -23,10 +26,12 @@ void run_gadget(sim::FrameSim& frame, const sim::Circuit& circuit,
 
   for (const sim::Operation& op : circuit.ops()) {
     FTQC_CHECK(op.cond < 0, "gadget circuits cannot use feedforward");
-    for (uint32_t t : op.targets) touched[t] = 1;
+    if (storage) {
+      for (uint32_t t : op.targets) touched[t] = 1;
+    }
     switch (op.gate) {
       case Gate::TICK:
-        flush_storage();
+        if (storage) flush_storage();
         break;
       case Gate::I:
         break;

@@ -15,8 +15,10 @@ namespace ftqc::ft {
 // R (preparation noise), before each M/MX (measurement noise), and at each
 // TICK for every qubit of `active_qubits` that rested during the layer
 // (storage noise, §6 "maximal parallelism": only the resting qubits decohere
-// extra). Writes the measurement flips relative to the noiseless reference
-// into `record`, one entry per measurement in order.
+// extra). The storage announcements are skipped when the injector does not
+// act on storage (`acts_on_storage()`). Writes the measurement flips
+// relative to the noiseless reference into `record`, one entry per
+// measurement in order.
 //
 // `active_qubits` names the qubits considered alive for storage accounting;
 // gadget drivers pass the data block plus any in-flight ancillas and exclude
