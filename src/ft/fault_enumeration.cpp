@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/rng.h"
 #include "sim/shot_runner.h"
 
 namespace ftqc::ft {
@@ -110,7 +111,7 @@ PairSampleScan sample_pairs_from(const GadgetExperiment& run,
                                  size_t num_samples, uint64_t seed) {
   FTQC_CHECK(!pool1.empty() && !pool2.empty(),
              "pair sampling needs nonempty location pools");
-  std::mt19937_64 rng(seed);
+  Mt19937_64 rng(seed);
   PairSampleScan scan;
   for (size_t s = 0; s < num_samples; ++s) {
     size_t loc1 = pool1[rng() % pool1.size()];
@@ -190,10 +191,12 @@ KindTable kind_table(const KindFilter& filter) {
 // Counts the eligible locations seen (the realized path length N_s) and the
 // faults landed (K_s); locations failing the filter neither fault nor
 // count, mirroring the universe restriction of the fixed-path samplers.
+// A fault decision takes one draw, compared with proposal_fault_threshold.
 class BernoulliFaultInjector final : public NoiseInjector {
  public:
-  BernoulliFaultInjector(double q, const KindFilter& filter, uint64_t seed)
-      : q_(q), eligible_(kind_table(filter)), rng_(seed) {}
+  BernoulliFaultInjector(const KindTable& eligible, uint64_t threshold,
+                         uint64_t seed)
+      : eligible_(eligible), threshold_(threshold), rng_(seed) {}
 
   void on_gate1(sim::FrameSim& sim, uint32_t q) override {
     if (step(LocationKind::kGate1)) {
@@ -228,7 +231,7 @@ class BernoulliFaultInjector final : public NoiseInjector {
   bool step(LocationKind kind) {
     if (!eligible_[static_cast<size_t>(kind)]) return false;
     ++locations_;
-    if (dist_(rng_) >= q_) return false;
+    if (rng_() >= threshold_) return false;
     ++faults_;
     return true;
   }
@@ -236,20 +239,44 @@ class BernoulliFaultInjector final : public NoiseInjector {
     return static_cast<int>(rng_() % static_cast<uint64_t>(num_variants));
   }
 
-  double q_;
   KindTable eligible_;
-  std::mt19937_64 rng_;
-  std::uniform_real_distribution<double> dist_{0.0, 1.0};
+  uint64_t threshold_;
+  Mt19937_64 rng_;
   size_t locations_ = 0;
   size_t faults_ = 0;
 };
 
 }  // namespace
 
+// Bisects over the distribution itself, fed one fixed draw per probe. It
+// takes exactly one draw and returns it converted to double, scaled by
+// 2^-64 and clamped below 1.
+uint64_t proposal_fault_threshold(double q) {
+  FTQC_CHECK(q > 0.0 && q < 1.0, "proposal probability must lie in (0, 1)");
+  struct FixedDraw {
+    using result_type = uint64_t;
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~result_type{0}; }
+    result_type x;
+    result_type operator()() const { return x; }
+  };
+  std::uniform_real_distribution<double> dist(0.0, 1.0);
+  // dist(lo) < q <= dist(hi) throughout: x = 0 maps to 0, and the largest
+  // draw to the largest double below 1.
+  uint64_t lo = 0;
+  uint64_t hi = FixedDraw::max();
+  while (hi - lo > 1) {
+    FixedDraw mid{lo + (hi - lo) / 2};
+    (dist(mid) >= q ? hi : lo) = mid.x;
+  }
+  return hi;
+}
+
 ConditionedSetScan sample_conditioned_fault_sets(
     const GadgetExperiment& run, const KindFilter& filter, double q, size_t k,
     size_t num_shots, size_t first_shot, uint64_t seed, uint64_t seed_stride) {
-  FTQC_CHECK(q > 0.0 && q < 1.0, "proposal probability must lie in (0, 1)");
+  const uint64_t threshold = proposal_fault_threshold(q);  // checks q
+  const KindTable eligible = kind_table(filter);
   ConditionedSetScan scan;
   scan.raw_shots = num_shots;
   // Serial on purpose: each accepted shot contributes its realized path
@@ -257,7 +284,7 @@ ConditionedSetScan sample_conditioned_fault_sets(
   // the run — ShotRunner's bool-only contract doesn't carry either.
   for (size_t i = 0; i < num_shots; ++i) {
     const uint64_t shot_seed = seed + seed_stride * (first_shot + i);
-    BernoulliFaultInjector injector(q, filter, shot_seed);
+    BernoulliFaultInjector injector(eligible, threshold, shot_seed);
     const bool failed = run(injector);
     if (injector.faults() != k) continue;
     ++scan.accepted;
@@ -338,8 +365,8 @@ namespace {
 class CountingStochasticInjector final : public NoiseInjector {
  public:
   CountingStochasticInjector(const sim::NoiseParams& params,
-                             const KindFilter& filter)
-      : noise_(params), eligible_(kind_table(filter)) {}
+                             const KindTable& eligible)
+      : noise_(params), eligible_(eligible) {}
 
   void on_gate1(sim::FrameSim& sim, uint32_t q) override {
     count(LocationKind::kGate1);
@@ -381,9 +408,10 @@ double calibrate_mean_locations(const SeededGadgetExperiment& run,
                                 const KindFilter& filter, size_t num_shots,
                                 uint64_t seed) {
   FTQC_CHECK(num_shots > 0, "calibration needs at least one shot");
+  const KindTable eligible = kind_table(filter);
   size_t total = 0;
   for (size_t s = 0; s < num_shots; ++s) {
-    CountingStochasticInjector injector(params, filter);
+    CountingStochasticInjector injector(params, eligible);
     (void)run(injector, seed + 0x9E3779B97F4A7C15ull * s);
     total += injector.locations();
   }

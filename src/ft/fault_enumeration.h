@@ -23,8 +23,8 @@ using GadgetExperiment = std::function<bool(NoiseInjector&)>;
 // Which location kinds can fault (mirrors which ε knobs are nonzero). A
 // filter must be a pure function of the kind: the rare-event samplers
 // (sample_conditioned_fault_sets, calibrate_mean_locations) evaluate it
-// once per LocationKind when each shot's injector is built, and look every
-// location up in that table.
+// once per LocationKind per call, and look every location up in that
+// table.
 using KindFilter = std::function<bool(LocationKind)>;
 
 [[nodiscard]] inline KindFilter all_kinds() {
@@ -207,11 +207,20 @@ struct ConditionedSetScan {
 // the proposal's modal fault count sits near k (q ≈ k / N_eff); any
 // q ∈ (0,1) is correct, q only sets the acceptance rate. Shot i is fully
 // determined by seed + seed_stride * (first_shot + i), so chunking cannot
-// change the sample.
+// change the sample. A shot draws from an ftqc::Mt19937_64 seeded with its
+// seed (the stream of std::mt19937_64): one draw per fault decision, taken
+// as a fault when below proposal_fault_threshold(q), and one per variant.
+// A filter without kStorage costs the replay no storage walk.
 [[nodiscard]] ConditionedSetScan sample_conditioned_fault_sets(
     const GadgetExperiment& run, const KindFilter& filter, double q, size_t k,
     size_t num_shots, size_t first_shot, uint64_t seed,
     uint64_t seed_stride = 0x9E3779B97F4A7C15ull);
+
+// The smallest 64-bit draw x at which std::uniform_real_distribution<double>
+// (0, 1) fed x returns a value >= q, for q in (0, 1). That value never
+// decreases with x, so `x < proposal_fault_threshold(q)` is the decision
+// `dist(engine) < q` on the same draw, without converting it to double.
+[[nodiscard]] uint64_t proposal_fault_threshold(double q);
 
 // Exhaustive companion: every k-subset of the universe crossed with every
 // variant assignment, weighted by the product of variant weights. Exact

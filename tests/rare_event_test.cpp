@@ -3,7 +3,8 @@
 // failure sets, chunk-boundary/seed determinism of the stratum sampler,
 // raw-shot charging and known-zero strata under add_shots grants, a
 // direct-vs-stratified cross-check on the real level-1 Steane cycle, a
-// recorded pin on both sampler injectors' draws on that cycle, and the
+// recorded pin on both sampler injectors' draws on that cycle, the integer
+// fault test against the floating-point decision it must equal, and the
 // calibration's storage count.
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <random>
 #include <vector>
 
 #include "common/stats.h"
@@ -481,6 +483,42 @@ TEST(RareEventFingerprint, SteaneCycleSamplersMatchRecorded) {
   EXPECT_GT(mean_locations, n);
   EXPECT_EQ(hash.value(), 0x05d4783ce9507362ull)
       << std::hex << hash.value();
+}
+
+// A raw draw of at least proposal_fault_threshold(q) is exactly a
+// std::uniform_real_distribution<double>(0, 1) value of at least q: on the
+// draws either side of the threshold, and on paired std::mt19937_64 draws.
+// The q values include the proposals of strata k = 2..4 on this cycle.
+TEST(ConditionedSampler, FaultThresholdMatchesUniformRealDecision) {
+  struct FixedDraw {
+    using result_type = uint64_t;
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~result_type{0}; }
+    result_type x;
+    result_type operator()() const { return x; }
+  };
+  const GadgetExperiment experiment = [](NoiseInjector& injector) {
+    return steane_cycle_fails(injector, /*seed=*/77);
+  };
+  ScanOptions gates;
+  gates.filter = gate_kinds_only();
+  const double n =
+      static_cast<double>(record_fault_universe(experiment, gates).size());
+  std::uniform_real_distribution<double> dist(0.0, 1.0);
+  uint64_t seed = 2027;
+  for (const double q : {2 / n, 3 / n, 4 / n, 0.4, 0.5, 1e-12}) {
+    const uint64_t threshold = proposal_fault_threshold(q);
+    for (const uint64_t x : {threshold - 1, threshold, threshold + 1}) {
+      FixedDraw draw{x};
+      EXPECT_EQ(x >= threshold, dist(draw) >= q) << "q " << q << ", x " << x;
+    }
+    std::mt19937_64 raw(++seed);
+    std::mt19937_64 real(seed);
+    for (int i = 0; i < 100000; ++i) {
+      ASSERT_EQ(raw() >= threshold, dist(real) >= q)
+          << "q " << q << ", draw " << i;
+    }
+  }
 }
 
 // calibrate_mean_locations counts what its filter asks for, storage

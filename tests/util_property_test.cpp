@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <random>
 #include <set>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/stats.h"
@@ -66,6 +68,26 @@ TEST(Rng, DoubleInUnitInterval) {
     const double d = rng.next_double();
     EXPECT_GE(d, 0.0);
     EXPECT_LT(d, 1.0);
+  }
+}
+
+// The rare-event samplers' engine against the standard library's, the
+// oracle of its stream: 1,250 draws span the seeding and four twists.
+TEST(Mt19937_64, MatchesStdEngineDrawForDraw) {
+  std::vector<uint64_t> seeds = {0, 1, 5489, ~uint64_t{0}};
+  uint64_t splitmix = 0;
+  for (int i = 0; i < 4; ++i) {
+    uint64_t z = (splitmix += 0x9E3779B97F4A7C15ull);
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    seeds.push_back(z ^ (z >> 31));
+  }
+  for (const uint64_t seed : seeds) {
+    Mt19937_64 engine(seed);
+    std::mt19937_64 oracle(seed);
+    for (int i = 0; i < 1250; ++i) {
+      ASSERT_EQ(engine(), oracle()) << "seed " << seed << ", draw " << i;
+    }
   }
 }
 
