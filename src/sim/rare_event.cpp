@@ -1,9 +1,11 @@
 #include "sim/rare_event.h"
 
-#include <cassert>
 #include <cmath>
 #include <limits>
+#include <string>
 #include <utility>
+
+#include "common/check.h"
 
 namespace ftqc::sim {
 
@@ -27,7 +29,10 @@ StratifiedEstimator::StratifiedEstimator(size_t num_strata,
 
 size_t StratifiedEstimator::add_view(std::vector<double> weights,
                                      double tail_weight) {
-  assert(weights.size() == strata_.size());
+  FTQC_CHECK(weights.size() == strata_.size(),
+             "a view needs one weight per stratum: got " +
+                 std::to_string(weights.size()) + " weights for " +
+                 std::to_string(strata_.size()) + " strata");
   const double nan = std::numeric_limits<double>::quiet_NaN();
   views_.push_back(View{std::move(weights), tail_weight,
                         std::vector<double>(strata_.size(), nan),
@@ -35,11 +40,19 @@ size_t StratifiedEstimator::add_view(std::vector<double> weights,
   return views_.size() - 1;
 }
 
+void StratifiedEstimator::check_stratum(size_t stratum) const {
+  FTQC_CHECK(stratum < strata_.size(),
+             "stratum " + std::to_string(stratum) + " out of range for " +
+                 std::to_string(strata_.size()) + " strata");
+}
+
 void StratifiedEstimator::mark_known_zero(size_t stratum) {
+  check_stratum(stratum);
   strata_[stratum].known_zero = true;
 }
 
 void StratifiedEstimator::add_shots(size_t stratum, size_t shots) {
+  check_stratum(stratum);
   if (shots == 0 || strata_[stratum].known_zero) return;
   const StratumChunk chunk =
       sampler_(stratum, shots, shots_per_stratum_[stratum]);

@@ -102,9 +102,10 @@ class StratifiedEstimator {
  public:
   StratifiedEstimator(size_t num_strata, StratumSampler sampler);
 
-  // Registers a weight vector (one entry per stratum; prior probabilities,
-  // need not sum to 1) plus the unrepresented tail mass. Returns the view
-  // id handed back to estimate(). Typical sweeps register one view per eps.
+  // Registers a weight vector (one entry per stratum, checked; prior
+  // probabilities, need not sum to 1) plus the unrepresented tail mass.
+  // Returns the view id handed back to estimate(). Typical sweeps register
+  // one view per eps.
   size_t add_view(std::vector<double> weights, double tail_weight = 0);
 
   // Pins a stratum's conditional to exactly zero (prior exhaustive proof).
@@ -159,6 +160,8 @@ class StratifiedEstimator {
     std::vector<double> cond_halfwidth;
   };
 
+  // FTQC_CHECKs that `stratum` names one of the strata.
+  void check_stratum(size_t stratum) const;
   // Conditional mean / half-width of one stratum as seen by one view:
   // known-zero pin, then the view's override, then the shared Proportion.
   [[nodiscard]] double view_conditional_mean(size_t view, size_t stratum) const;

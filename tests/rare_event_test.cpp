@@ -1,11 +1,11 @@
 // The rare-event measurement engine: binomial priors, the stratified
 // estimator's exact-mixture property on toy gadgets with analytically known
 // failure sets, chunk-boundary/seed determinism of the stratum sampler,
-// raw-shot charging and known-zero strata under add_shots grants, a
-// direct-vs-stratified cross-check on the real level-1 Steane cycle, a
-// recorded pin on both sampler injectors' draws on that cycle, the integer
-// fault test against the floating-point decision it must equal, and the
-// calibration's storage count.
+// raw-shot charging and known-zero strata under add_shots grants, the
+// estimator's size checks, a direct-vs-stratified cross-check on the real
+// level-1 Steane cycle, a recorded pin on both sampler injectors' draws on
+// that cycle, the integer fault test against the floating-point decision
+// it must equal, and the calibration's storage count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -276,6 +276,21 @@ TEST(StratifiedEstimator, RejectionSamplersAreChargedRawShots) {
   EXPECT_EQ(estimator.total_shots(), 100u);             // raw, not accepted
   EXPECT_EQ(estimator.stratum(0).sampled.trials, 50u);  // accepted
   EXPECT_EQ(offsets, (std::vector<size_t>{0, 40, 80}));
+}
+
+TEST(StratifiedEstimator, RejectsShortViewsAndOutOfRangeStrata) {
+  sim::StratifiedEstimator estimator(3, [](size_t, size_t shots, size_t) {
+    return sim::StratumChunk{Proportion{0, shots}, shots};
+  });
+  // The checks hold in NDEBUG builds too: a short weight vector would make
+  // estimate() read past its end.
+  EXPECT_DEATH((void)estimator.add_view({0.5, 0.5}), "2 weights for 3 strata");
+  EXPECT_DEATH(estimator.mark_known_zero(3), "stratum 3 out of range");
+  EXPECT_DEATH(estimator.add_shots(3, 10), "stratum 3 out of range");
+  EXPECT_EQ(estimator.add_view({0.2, 0.3, 0.5}), 0u);
+  estimator.mark_known_zero(0);
+  estimator.add_shots(2, 10);
+  EXPECT_EQ(estimator.total_shots(), 10u);
 }
 
 TEST(RareEventSweep, AdaptivePathRetryGadgetIsUnbiased) {
