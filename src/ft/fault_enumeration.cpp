@@ -267,7 +267,11 @@ uint64_t proposal_fault_threshold(double q) {
   uint64_t hi = FixedDraw::max();
   while (hi - lo > 1) {
     FixedDraw mid{lo + (hi - lo) / 2};
-    (dist(mid) >= q ? hi : lo) = mid.x;
+    if (dist(mid) >= q) {
+      hi = mid.x;
+    } else {
+      lo = mid.x;
+    }
   }
   return hi;
 }
