@@ -80,9 +80,9 @@ class NoiseInjector {
   virtual void on_meas(sim::FrameSim& sim, uint32_t q, bool x_basis) = 0;
   virtual void on_storage(sim::FrameSim& sim, uint32_t q) = 0;
   // False when on_storage can neither touch the frame nor count anything,
-  // so run_gadget may skip its storage walk (the rule BatchGadgetRunner
-  // applies at eps_store = 0). Injectors that number or count every
-  // location keep the default.
+  // so run_gadget may skip its storage walk (BatchGadgetRunner skips its
+  // own at eps_store = 0). Injectors that number or count every location
+  // keep the default.
   [[nodiscard]] virtual bool acts_on_storage() const { return true; }
   // Span boundary announcement: gadget drivers name the sub-gadget that is
   // about to run (e.g. "prep:A", "exrec:A") so fault scans can be windowed
@@ -132,10 +132,6 @@ class StochasticInjector final : public NoiseInjector {
   }
   void on_storage(sim::FrameSim& sim, uint32_t q) override {
     pauli1(sim, q, params_.eps_store);
-  }
-  // Both storage channels draw nothing at rate 0.
-  [[nodiscard]] bool acts_on_storage() const override {
-    return params_.eps_store > 0;
   }
 
  private:
