@@ -40,10 +40,31 @@ size_t StratifiedEstimator::add_view(std::vector<double> weights,
   return views_.size() - 1;
 }
 
+void StratifiedEstimator::check_view(size_t view) const {
+  FTQC_CHECK(view < views_.size(),
+             "view " + std::to_string(view) + " out of range for " +
+                 std::to_string(views_.size()) + " views");
+}
+
 void StratifiedEstimator::check_stratum(size_t stratum) const {
   FTQC_CHECK(stratum < strata_.size(),
              "stratum " + std::to_string(stratum) + " out of range for " +
                  std::to_string(strata_.size()) + " strata");
+}
+
+void StratifiedEstimator::set_weight(size_t view, size_t stratum,
+                                     double weight) {
+  check_view(view);
+  check_stratum(stratum);
+  views_[view].weights[stratum] = weight;
+}
+
+void StratifiedEstimator::set_conditional(size_t view, size_t stratum,
+                                          double mean, double halfwidth) {
+  check_view(view);
+  check_stratum(stratum);
+  views_[view].cond_mean[stratum] = mean;
+  views_[view].cond_halfwidth[stratum] = halfwidth;
 }
 
 void StratifiedEstimator::mark_known_zero(size_t stratum) {
@@ -79,6 +100,7 @@ double StratifiedEstimator::view_conditional_halfwidth(size_t view,
 }
 
 StratifiedEstimate StratifiedEstimator::estimate(size_t view) const {
+  check_view(view);
   const View& v = views_[view];
   StratifiedEstimate out;
   out.tail_weight = v.tail_weight;

@@ -115,9 +115,7 @@ class StratifiedEstimator {
   // they go (the likelihood-ratio weights of the runtime-conditioned fault
   // sampler) push refinements here between chunks; estimates pick them up
   // immediately.
-  void set_weight(size_t view, size_t stratum, double weight) {
-    views_[view].weights[stratum] = weight;
-  }
+  void set_weight(size_t view, size_t stratum, double weight);
 
   // Overrides one (view, stratum) conditional with a self-normalized
   // importance-weighted estimate. An importance sampler's conditional
@@ -129,10 +127,7 @@ class StratifiedEstimator {
   // weighting (e.g. a Wilson width at the Kish effective sample size).
   // Known-zero pins still win over an override.
   void set_conditional(size_t view, size_t stratum, double mean,
-                       double halfwidth) {
-    views_[view].cond_mean[stratum] = mean;
-    views_[view].cond_halfwidth[stratum] = halfwidth;
-  }
+                       double halfwidth);
 
   // Samples `shots` more conditional replays of one stratum (a no-op on a
   // known-zero stratum). Callers plan the grants: a sampler that pushes
@@ -160,7 +155,9 @@ class StratifiedEstimator {
     std::vector<double> cond_halfwidth;
   };
 
-  // FTQC_CHECKs that `stratum` names one of the strata.
+  // FTQC_CHECK that `view` names a registered view and `stratum` one of
+  // the strata.
+  void check_view(size_t view) const;
   void check_stratum(size_t stratum) const;
   // Conditional mean / half-width of one stratum as seen by one view:
   // known-zero pin, then the view's override, then the shared Proportion.

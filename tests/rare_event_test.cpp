@@ -282,15 +282,26 @@ TEST(StratifiedEstimator, RejectsShortViewsAndOutOfRangeStrata) {
   sim::StratifiedEstimator estimator(3, [](size_t, size_t shots, size_t) {
     return sim::StratumChunk{Proportion{0, shots}, shots};
   });
-  // The checks hold in NDEBUG builds too: a short weight vector would make
-  // estimate() read past its end.
+  // The checks hold in NDEBUG builds too: a short weight vector, or a view
+  // never registered, would make estimate() read past a vector's end.
   EXPECT_DEATH((void)estimator.add_view({0.5, 0.5}), "2 weights for 3 strata");
   EXPECT_DEATH(estimator.mark_known_zero(3), "stratum 3 out of range");
   EXPECT_DEATH(estimator.add_shots(3, 10), "stratum 3 out of range");
+  EXPECT_DEATH((void)estimator.estimate(), "view 0 out of range for 0 views");
   EXPECT_EQ(estimator.add_view({0.2, 0.3, 0.5}), 0u);
+  EXPECT_DEATH(estimator.set_weight(1, 0, 0.1), "view 1 out of range");
+  EXPECT_DEATH(estimator.set_weight(0, 3, 0.1), "stratum 3 out of range");
+  EXPECT_DEATH(estimator.set_conditional(1, 0, 0.1, 0.01),
+               "view 1 out of range");
+  EXPECT_DEATH(estimator.set_conditional(0, 3, 0.1, 0.01),
+               "stratum 3 out of range");
+  EXPECT_DEATH((void)estimator.estimate(1), "view 1 out of range");
   estimator.mark_known_zero(0);
   estimator.add_shots(2, 10);
+  estimator.set_weight(0, 1, 0.25);
+  estimator.set_conditional(0, 1, 0.5, 0.1);
   EXPECT_EQ(estimator.total_shots(), 10u);
+  EXPECT_DOUBLE_EQ(estimator.estimate().mean, 0.25 * 0.5);
 }
 
 TEST(RareEventSweep, AdaptivePathRetryGadgetIsUnbiased) {
