@@ -67,6 +67,11 @@ void StratifiedEstimator::set_conditional(size_t view, size_t stratum,
   views_[view].cond_halfwidth[stratum] = halfwidth;
 }
 
+const Stratum& StratifiedEstimator::stratum(size_t index) const {
+  check_stratum(index);
+  return strata_[index];
+}
+
 void StratifiedEstimator::mark_known_zero(size_t stratum) {
   check_stratum(stratum);
   strata_[stratum].known_zero = true;

@@ -139,9 +139,7 @@ class StratifiedEstimator {
 
   [[nodiscard]] size_t num_strata() const { return strata_.size(); }
   [[nodiscard]] size_t num_views() const { return views_.size(); }
-  [[nodiscard]] const Stratum& stratum(size_t index) const {
-    return strata_[index];
-  }
+  [[nodiscard]] const Stratum& stratum(size_t index) const;
   [[nodiscard]] size_t total_shots() const { return total_shots_; }
 
   [[nodiscard]] StratifiedEstimate estimate(size_t view = 0) const;

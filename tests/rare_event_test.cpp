@@ -287,6 +287,7 @@ TEST(StratifiedEstimator, RejectsShortViewsAndOutOfRangeStrata) {
   EXPECT_DEATH((void)estimator.add_view({0.5, 0.5}), "2 weights for 3 strata");
   EXPECT_DEATH(estimator.mark_known_zero(3), "stratum 3 out of range");
   EXPECT_DEATH(estimator.add_shots(3, 10), "stratum 3 out of range");
+  EXPECT_DEATH((void)estimator.stratum(3), "stratum 3 out of range");
   EXPECT_DEATH((void)estimator.estimate(), "view 0 out of range for 0 views");
   EXPECT_EQ(estimator.add_view({0.2, 0.3, 0.5}), 0u);
   EXPECT_DEATH(estimator.set_weight(1, 0, 0.1), "view 1 out of range");
