@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <deque>
 #include <limits>
 #include <memory>
@@ -611,6 +612,89 @@ TEST(DetectorErrorModel, SingleFaultsFireOnlyNearestNeighborDetectorPairs) {
   const ToricDem star = ToricDem::build(code, ToricSide::kStar);
   EXPECT_EQ(star.counts().far, 0.0);
   EXPECT_GT(star.counts().locations, counts.locations);
+}
+
+// The serial extraction round's draws, pinned before the round read its
+// edges from the check-edge table: every round's measured flips and the
+// final X/Z frames of 200 shots, L = 3 and 4, both sides (the star side runs
+// the Hadamard sandwich), under uniform, Z-biased, erasing and leaking noise.
+// A change that only reorganizes the round or FrameSim's op bodies must keep
+// every constant.
+TEST(ExtractionRoundFingerprint, SerialShotsMatchRecorded) {
+  sim::NoiseParams erasing = sim::NoiseParams::uniform_gate(0.02, 0.02);
+  erasing.p_erase = 0.02;
+  sim::NoiseParams leaking = sim::NoiseParams::uniform_gate(0.02, 0.02);
+  leaking.p_leak = 0.02;
+  const std::array<sim::NoiseParams, 4> settings = {
+      sim::NoiseParams::uniform_gate(0.02, 0.02),
+      sim::NoiseParams::biased_gate(0.02, 10.0, 0.02), erasing, leaking};
+  const std::array<uint64_t, 4> expected = {
+      0x9a4c35611ed3ef13ull, 0xab56dfff52d8bcb0ull, 0x8e6f0bb1ff34d1b2ull,
+      0x1b27b0da2c164ea9ull};
+  const auto add_words = [](Fnv1a& hash, const gf2::BitVec& v) {
+    for (size_t w = 0; w < v.num_words(); ++w) hash.add(v.word(w));
+  };
+  for (size_t i = 0; i < settings.size(); ++i) {
+    SCOPED_TRACE(i);
+    Fnv1a hash;
+    for (const size_t l : {3, 4}) {
+      const ToricCode code(l);
+      for (const ToricSide side : {ToricSide::kPlaquette, ToricSide::kStar}) {
+        gf2::BitVec flips;
+        for (uint64_t shot = 0; shot < 200; ++shot) {
+          sim::FrameSim sim(code.num_qubits() + code.num_plaquettes(),
+                            7000 + shot);
+          ft::StochasticInjector injector(settings[i]);
+          for (size_t t = 0; t < l; ++t) {
+            run_extraction_round(sim, injector, code, side, flips);
+            add_words(hash, flips);
+          }
+          add_words(hash, sim.x_frame());
+          add_words(hash, sim.z_frame());
+        }
+      }
+    }
+    EXPECT_EQ(hash.value(), expected[i]) << std::hex << hash.value();
+  }
+}
+
+// toric-circuit's decoder weights come from these counts; all five fields
+// are pinned exactly (hex-float literals), on both sides, unbiased and at a
+// Z bias of 10.
+TEST(ExtractionRoundFingerprint, DemCountsMatchRecorded) {
+  struct Pin {
+    ToricSide side;
+    bool biased;
+    ToricDem::Counts counts;
+  };
+  const std::array<Pin, 4> pins = {{
+      {ToricSide::kPlaquette, false,
+       {0x1.333333333332dp+5, 0x1.8888888888888p+5, 0x1.1111111111106p+4, 0,
+        128}},
+      {ToricSide::kStar, false,
+       {0x1.333333333332dp+5, 0x1.19999999999c4p+6, 0x1.1111111111106p+4, 0,
+        160}},
+      {ToricSide::kPlaquette, true,
+       {0x1.333333333332fp+3, 0x1.3bbbbbbbbbbcp+5, 0x1.1111111111108p+2, 0,
+        128}},
+      {ToricSide::kStar, true,
+       {0x1.a666666666674p+5, 0x1.ffffffffffff3p+5, 0x1.777777777777dp+4, 0,
+        160}},
+  }};
+  const ToricCode code(4);
+  for (const Pin& pin : pins) {
+    const ToricDem dem =
+        pin.biased
+            ? ToricDem::build(code, pin.side,
+                              sim::NoiseParams::biased_gate(0.01, 10.0, 0.01))
+            : ToricDem::build(code, pin.side);
+    const ToricDem::Counts& c = dem.counts();
+    EXPECT_EQ(c.space, pin.counts.space);
+    EXPECT_EQ(c.time, pin.counts.time);
+    EXPECT_EQ(c.diag, pin.counts.diag);
+    EXPECT_EQ(c.far, pin.counts.far);
+    EXPECT_EQ(c.locations, pin.counts.locations);
+  }
 }
 
 TEST(DetectorErrorModel, CircuitMemoryShotsAlwaysClearTheFinalSyndrome) {
