@@ -17,117 +17,20 @@ void FrameSim::clear() {
   std::fill(erased_.begin(), erased_.end(), false);
 }
 
-void FrameSim::apply_h(size_t q) {
-  if (leaked_[q]) return;
-  const bool x = x_.get(q);
-  x_.set(q, z_.get(q));
-  z_.set(q, x);
-}
-
-void FrameSim::apply_s(size_t q) {
-  if (leaked_[q]) return;
-  // S maps X -> Y: the Z component toggles when an X is present. Signs are
-  // irrelevant to a frame.
-  if (x_.get(q)) z_.flip(q);
-}
-
-void FrameSim::apply_cx(size_t control, size_t target) {
-  if (leaked_[control] || leaked_[target]) return;
-  if (x_.get(control)) x_.flip(target);   // X propagates forward (§3.1)
-  if (z_.get(target)) z_.flip(control);   // Z propagates backward (§3.1)
-}
-
-void FrameSim::apply_cz(size_t a, size_t b) {
-  if (leaked_[a] || leaked_[b]) return;
-  if (x_.get(a)) z_.flip(b);
-  if (x_.get(b)) z_.flip(a);
-}
-
-void FrameSim::apply_swap(size_t a, size_t b) {
-  if (leaked_[a] || leaked_[b]) return;
-  const bool xa = x_.get(a), za = z_.get(a);
-  x_.set(a, x_.get(b));
-  z_.set(a, z_.get(b));
-  x_.set(b, xa);
-  z_.set(b, za);
-}
-
 void FrameSim::inject(const pauli::PauliString& p) {
   FTQC_CHECK(p.num_qubits() == n_, "inject size mismatch");
   x_ ^= p.x_part();
   z_ ^= p.z_part();
 }
 
-void FrameSim::depolarize1(size_t q, double p) {
-  if (p <= 0) return;  // keep the RNG stream aligned with the batch engine
-  if (!rng_.bernoulli(p)) return;
-  // X, Y or Z with equal probability (the §6 storage model).
-  switch (rng_.next_below(3)) {
-    case 0: inject_x(q); break;
-    case 1: inject_y(q); break;
-    default: inject_z(q); break;
-  }
-}
-
-void FrameSim::depolarize2(size_t a, size_t b, double p) {
-  if (p <= 0) return;
-  if (!rng_.bernoulli(p)) return;
-  // One of the 15 non-identity two-qubit Paulis, uniformly: the paper's
-  // pessimistic rule that a faulty gate may damage every qubit it touches.
-  const uint64_t which = rng_.next_below(15) + 1;  // 1..15, 2 bits per qubit
-  const auto apply_code = [this](size_t q, uint64_t code) {
-    switch (code) {
-      case 1: inject_x(q); break;
-      case 2: inject_z(q); break;
-      case 3: inject_y(q); break;
-      default: break;
-    }
-  };
-  apply_code(a, which & 3);
-  apply_code(b, (which >> 2) & 3);
-}
-
-void FrameSim::x_error(size_t q, double p) {
-  if (p <= 0) return;
-  if (rng_.bernoulli(p)) inject_x(q);
-}
-
-void FrameSim::z_error(size_t q, double p) {
-  if (p <= 0) return;
-  if (rng_.bernoulli(p)) inject_z(q);
-}
-
-void FrameSim::y_error(size_t q, double p) {
-  if (p <= 0) return;
-  if (rng_.bernoulli(p)) inject_y(q);
-}
-
-bool FrameSim::measure_z(size_t q) {
-  const bool flip = x_.get(q);
-  // Collapse gauge: the post-measurement Z frame is unobservable.
-  if (rng_.next_u64() & 1) z_.flip(q);
-  return flip;
-}
-
-bool FrameSim::measure_x(size_t q) {
-  const bool flip = z_.get(q);
-  if (rng_.next_u64() & 1) x_.flip(q);
-  return flip;
-}
-
-void FrameSim::reset(size_t q) {
-  x_.set(q, false);
-  z_.set(q, false);
-  leaked_[q] = false;
-  erased_[q] = false;
-}
-
 void FrameSim::leak_error(size_t q, double p) {
+  check_herald_index(q);
   if (p <= 0) return;
   if (rng_.bernoulli(p)) leaked_[q] = true;
 }
 
 void FrameSim::erase_error(size_t q, double p) {
+  check_herald_index(q);
   if (p <= 0) return;
   if (!rng_.bernoulli(p)) return;
   erased_[q] = true;
@@ -175,16 +78,8 @@ void FrameSim::pauli_channel2(size_t a, size_t b, double p, double fx,
     ca = draw_code();
     cb = draw_code();
   } while (ca == 0 && cb == 0);
-  const auto apply_code = [this](size_t q, uint64_t code) {
-    switch (code) {
-      case 1: inject_x(q); break;
-      case 2: inject_z(q); break;
-      case 3: inject_y(q); break;
-      default: break;
-    }
-  };
-  apply_code(a, ca);
-  apply_code(b, cb);
+  inject_code(a, ca);
+  inject_code(b, cb);
 }
 
 pauli::PauliString FrameSim::frame() const {

@@ -69,6 +69,38 @@ TEST(FrameSim, LeakedQubitFreezesFrame) {
   EXPECT_FALSE(sim.is_leaked(0));
 }
 
+// The herald calls index std::vector<bool>s, which would read or write past
+// their end without a trace; each checks its qubit in every build.
+TEST(FrameSimDeathTest, HeraldCallsRejectOutOfRangeQubits) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  FrameSim sim(3);
+  const char* kMsg = "herald qubit index out of range";
+  EXPECT_DEATH(sim.mark_leaked(3), kMsg);
+  EXPECT_DEATH((void)sim.is_leaked(3), kMsg);
+  EXPECT_DEATH(sim.mark_erased(3), kMsg);
+  EXPECT_DEATH((void)sim.is_erased(3), kMsg);
+  EXPECT_DEATH(sim.leak_error(3, 0.5), kMsg);
+  EXPECT_DEATH(sim.erase_error(3, 0.5), kMsg);
+  // A zero rate draws nothing but is still a bad index.
+  EXPECT_DEATH(sim.leak_error(64, 0.0), kMsg);
+  EXPECT_DEATH(sim.erase_error(64, 0.0), kMsg);
+}
+
+#ifndef NDEBUG
+// The gates check their indices (FTQC_DCHECK, off under NDEBUG) before they
+// read a leakage herald, so a bad index cannot return early unchecked.
+TEST(FrameSimDeathTest, GatesCheckIndicesBeforeReadingHeralds) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  FrameSim sim(3);
+  const char* kMsg = "qubit index out of range";
+  EXPECT_DEATH(sim.apply_h(3), kMsg);
+  EXPECT_DEATH(sim.apply_s(3), kMsg);
+  EXPECT_DEATH(sim.apply_cx(0, 3), kMsg);
+  EXPECT_DEATH(sim.apply_cz(3, 0), kMsg);
+  EXPECT_DEATH(sim.apply_swap(0, 3), kMsg);
+}
+#endif
+
 // Statistical agreement between FrameSim and TableauSim on a noisy circuit:
 // the marginal flip probability of a measurement matches the full simulation.
 TEST(FrameSim, AgreesWithTableauOnNoisyMemory) {
