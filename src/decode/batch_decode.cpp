@@ -79,13 +79,10 @@ uint64_t batch_memory_2d_failures(const SpacetimeToricDecoder& decoder,
     // One trusted syndrome row: each plaquette's word is the XOR of its four
     // edges' X-flip words — 64 shots of syndrome extraction per plaquette in
     // three word ops.
-    for (size_t y = 0; y < l; ++y) {
-      for (size_t x = 0; x < l; ++x) {
-        packed.words[y * l + x] = bsim.x_flips(code.h_edge(x, y))[0] ^
-                                  bsim.x_flips(code.h_edge(x, y + 1))[0] ^
-                                  bsim.x_flips(code.v_edge(x, y))[0] ^
-                                  bsim.x_flips(code.v_edge(x + 1, y))[0];
-      }
+    for (size_t s = 0; s < sites; ++s) {
+      const auto& e = code.plaquette_edges()[s];
+      packed.words[s] = bsim.x_flips(e[0])[0] ^ bsim.x_flips(e[1])[0] ^
+                        bsim.x_flips(e[2])[0] ^ bsim.x_flips(e[3])[0];
     }
     const auto corrections = decode_lanes(decoder, packed, mask);
     // Logical parities of the raw error, bit-sliced across all lanes.

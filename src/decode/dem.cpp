@@ -14,84 +14,69 @@ namespace {
 // absorbs "error already present", round 2 catches delayed detections).
 constexpr size_t kDemRounds = 3;
 
-uint32_t ancilla_of(const topo::ToricCode& code, size_t site) {
-  return static_cast<uint32_t>(code.num_qubits() + site);
-}
-
 }  // namespace
 
-void run_extraction_round(sim::FrameSim& sim, ft::NoiseInjector& injector,
+template <class Injector>
+void run_extraction_round(sim::FrameSim& sim, Injector& injector,
                           const topo::ToricCode& code, ToricSide side,
                           gf2::BitVec& measured_flips) {
-  const size_t l = code.lattice();
-  const size_t sites = l * l;
+  const size_t sites = code.num_plaquettes();
   FTQC_CHECK(sim.num_qubits() == code.num_qubits() + sites,
              "extraction circuit needs one ancilla per check");
   if (measured_flips.size() != sites) measured_flips.resize(sites);
 
   const bool plaquette = side == ToricSide::kPlaquette;
-  for (size_t s = 0; s < sites; ++s) {
-    const uint32_t anc = ancilla_of(code, s);
-    sim.reset(anc);
-    injector.on_prep(sim, anc);
+  const std::vector<topo::ToricCode::CheckEdges>& checks =
+      plaquette ? code.plaquette_edges() : code.star_edges();
+  // Check s's ancilla is qubit anc0 + s.
+  const auto anc0 = static_cast<uint32_t>(code.num_qubits());
+  const auto num_sites = static_cast<uint32_t>(sites);
+  for (uint32_t s = 0; s < num_sites; ++s) {
+    sim.reset(anc0 + s);
+    injector.on_prep(sim, anc0 + s);
   }
   if (!plaquette) {
-    for (size_t s = 0; s < sites; ++s) {
-      const uint32_t anc = ancilla_of(code, s);
-      sim.apply_h(anc);
-      injector.on_gate1(sim, anc);
+    for (uint32_t s = 0; s < num_sites; ++s) {
+      sim.apply_h(anc0 + s);
+      injector.on_gate1(sim, anc0 + s);
     }
   }
-  // Four CNOT layers; within a layer every check touches a distinct data
-  // qubit (each edge borders exactly one plaquette per compass direction),
-  // so a layer is one parallel time step.
-  for (int layer = 0; layer < 4; ++layer) {
-    for (size_t y = 0; y < l; ++y) {
-      for (size_t x = 0; x < l; ++x) {
-        uint32_t data = 0;
-        if (plaquette) {
-          switch (layer) {
-            case 0: data = code.h_edge(x, y); break;      // north
-            case 1: data = code.v_edge(x, y); break;      // west
-            case 2: data = code.v_edge(x + 1, y); break;  // east
-            default: data = code.h_edge(x, y + 1); break; // south
-          }
-        } else {
-          switch (layer) {
-            case 0: data = code.h_edge(x, y); break;
-            case 1: data = code.v_edge(x, y); break;
-            case 2: data = code.v_edge(x, y + l - 1); break;
-            default: data = code.h_edge(x + l - 1, y); break;
-          }
-        }
-        const uint32_t anc = ancilla_of(code, y * l + x);
-        if (plaquette) {
-          sim.apply_cx(data, anc);
-          injector.on_gate2(sim, data, anc);
-        } else {
-          sim.apply_cx(anc, data);
-          injector.on_gate2(sim, anc, data);
-        }
+  // Four CNOT layers, one per column of the check-edge table.
+  for (size_t layer = 0; layer < 4; ++layer) {
+    for (uint32_t s = 0; s < num_sites; ++s) {
+      const uint32_t data = checks[s][layer];
+      const uint32_t anc = anc0 + s;
+      if (plaquette) {
+        sim.apply_cx(data, anc);
+        injector.on_gate2(sim, data, anc);
+      } else {
+        sim.apply_cx(anc, data);
+        injector.on_gate2(sim, anc, data);
       }
     }
   }
   if (!plaquette) {
-    for (size_t s = 0; s < sites; ++s) {
-      const uint32_t anc = ancilla_of(code, s);
-      sim.apply_h(anc);
-      injector.on_gate1(sim, anc);
+    for (uint32_t s = 0; s < num_sites; ++s) {
+      sim.apply_h(anc0 + s);
+      injector.on_gate1(sim, anc0 + s);
     }
   }
   // Resting data qubits take one storage step per round.
-  for (uint32_t q = 0; q < code.num_qubits(); ++q) {
+  for (uint32_t q = 0; q < anc0; ++q) {
     injector.on_storage(sim, q);
   }
-  for (size_t s = 0; s < sites; ++s) {
-    const uint32_t anc = ancilla_of(code, s);
-    injector.on_meas(sim, anc, false);
-    measured_flips.set(s, sim.measure_z(anc));
+  for (uint32_t s = 0; s < num_sites; ++s) {
+    injector.on_meas(sim, anc0 + s, false);
+    measured_flips.set(s, sim.measure_z(anc0 + s));
   }
 }
+
+template void run_extraction_round<ft::StochasticInjector>(
+    sim::FrameSim&, ft::StochasticInjector&, const topo::ToricCode&,
+    ToricSide, gf2::BitVec&);
+template void run_extraction_round<ft::FaultPointInjector>(
+    sim::FrameSim&, ft::FaultPointInjector&, const topo::ToricCode&,
+    ToricSide, gf2::BitVec&);
 
 ToricDem ToricDem::build(const topo::ToricCode& code, ToricSide side) {
   return build(code, side, sim::NoiseParams{});

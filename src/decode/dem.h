@@ -12,7 +12,8 @@ namespace ftqc::decode {
 
 // One noisy syndrome-extraction round of the toric code, announced location
 // by location to `injector` (the same hook protocol every gadget driver
-// uses). One ancilla per check; the four CNOTs run in N/S/W/E layers, each a
+// uses). One ancilla per check; the four CNOTs run in the layers of the
+// code's check-edge table (ToricCode::plaquette_edges / star_edges), each a
 // perfect matching of data qubits onto ancillas, so a layer never touches a
 // qubit twice. Plaquette side: prep |0>, CX(data -> ancilla) x4, measure Z —
 // the ancilla's X frame accumulates the X-error parity of the four edges.
@@ -21,9 +22,21 @@ namespace ftqc::decode {
 // data qubit also takes one storage location per round. `measured_flips`
 // (size L²) receives each check's measurement flip; ancillas are qubits
 // 2L².. 3L²-1 of `sim` and are reset at the start of each round's prep.
-void run_extraction_round(sim::FrameSim& sim, ft::NoiseInjector& injector,
+//
+// One body over the concrete injector type, so no hook is a virtual call.
+// It is instantiated in dem.cpp for the two injectors that run it:
+// StochasticInjector (run_circuit_memory) and FaultPointInjector
+// (ToricDem::build).
+template <class Injector>
+void run_extraction_round(sim::FrameSim& sim, Injector& injector,
                           const topo::ToricCode& code, ToricSide side,
                           gf2::BitVec& measured_flips);
+extern template void run_extraction_round<ft::StochasticInjector>(
+    sim::FrameSim&, ft::StochasticInjector&, const topo::ToricCode&,
+    ToricSide, gf2::BitVec&);
+extern template void run_extraction_round<ft::FaultPointInjector>(
+    sim::FrameSim&, ft::FaultPointInjector&, const topo::ToricCode&,
+    ToricSide, gf2::BitVec&);
 
 // Detector error model for the circuit above, built by exhaustive single-
 // fault enumeration (the §3 discipline: replay every (location, variant)

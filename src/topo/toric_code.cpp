@@ -11,6 +11,16 @@ using pauli::PauliString;
 
 ToricCode::ToricCode(size_t lattice_size) : l_(lattice_size) {
   FTQC_CHECK(l_ >= 2, "torus needs L >= 2");
+  plaquette_edges_.reserve(l_ * l_);
+  star_edges_.reserve(l_ * l_);
+  for (size_t y = 0; y < l_; ++y) {
+    for (size_t x = 0; x < l_; ++x) {
+      plaquette_edges_.push_back(
+          {h_edge(x, y), v_edge(x, y), v_edge(x + 1, y), h_edge(x, y + 1)});
+      star_edges_.push_back({h_edge(x, y), v_edge(x, y), v_edge(x, y + l_ - 1),
+                             h_edge(x + l_ - 1, y)});
+    }
+  }
 }
 
 uint32_t ToricCode::h_edge(size_t x, size_t y) const {
@@ -23,19 +33,17 @@ uint32_t ToricCode::v_edge(size_t x, size_t y) const {
 
 PauliString ToricCode::star_operator(size_t x, size_t y) const {
   PauliString p(num_qubits());
-  p.set_pauli(h_edge(x, y), 'X');
-  p.set_pauli(h_edge(x + l_ - 1, y), 'X');
-  p.set_pauli(v_edge(x, y), 'X');
-  p.set_pauli(v_edge(x, y + l_ - 1), 'X');
+  for (const uint32_t e : star_edges_[(y % l_) * l_ + x % l_]) {
+    p.set_pauli(e, 'X');
+  }
   return p;
 }
 
 PauliString ToricCode::plaquette_operator(size_t x, size_t y) const {
   PauliString p(num_qubits());
-  p.set_pauli(h_edge(x, y), 'Z');
-  p.set_pauli(h_edge(x, y + 1), 'Z');
-  p.set_pauli(v_edge(x, y), 'Z');
-  p.set_pauli(v_edge(x + 1, y), 'Z');
+  for (const uint32_t e : plaquette_edges_[(y % l_) * l_ + x % l_]) {
+    p.set_pauli(e, 'Z');
+  }
   return p;
 }
 
@@ -79,33 +87,23 @@ gf2::BitVec ToricCode::star_syndrome(const gf2::BitVec& z_errors) const {
 
 void ToricCode::plaquette_syndrome_into(const gf2::BitVec& x_errors,
                                         gf2::BitVec& syndrome) const {
-  FTQC_CHECK(x_errors.size() == num_qubits(), "error pattern size mismatch");
-  if (syndrome.size() != num_plaquettes()) syndrome.resize(num_plaquettes());
-  for (size_t y = 0; y < l_; ++y) {
-    for (size_t x = 0; x < l_; ++x) {
-      bool violated = false;
-      violated ^= x_errors.get(h_edge(x, y));
-      violated ^= x_errors.get(h_edge(x, y + 1));
-      violated ^= x_errors.get(v_edge(x, y));
-      violated ^= x_errors.get(v_edge(x + 1, y));
-      syndrome.set(plaquette_index(x, y), violated);
-    }
-  }
+  syndrome_into(plaquette_edges_, x_errors, syndrome);
 }
 
 void ToricCode::star_syndrome_into(const gf2::BitVec& z_errors,
                                    gf2::BitVec& syndrome) const {
-  FTQC_CHECK(z_errors.size() == num_qubits(), "error pattern size mismatch");
-  if (syndrome.size() != num_vertices()) syndrome.resize(num_vertices());
-  for (size_t y = 0; y < l_; ++y) {
-    for (size_t x = 0; x < l_; ++x) {
-      bool violated = false;
-      violated ^= z_errors.get(h_edge(x, y));
-      violated ^= z_errors.get(h_edge(x + l_ - 1, y));
-      violated ^= z_errors.get(v_edge(x, y));
-      violated ^= z_errors.get(v_edge(x, y + l_ - 1));
-      syndrome.set(y * l_ + x, violated);
-    }
+  syndrome_into(star_edges_, z_errors, syndrome);
+}
+
+void ToricCode::syndrome_into(const std::vector<CheckEdges>& checks,
+                              const gf2::BitVec& errors,
+                              gf2::BitVec& syndrome) const {
+  FTQC_CHECK(errors.size() == num_qubits(), "error pattern size mismatch");
+  if (syndrome.size() != checks.size()) syndrome.resize(checks.size());
+  for (size_t s = 0; s < checks.size(); ++s) {
+    const CheckEdges& e = checks[s];
+    syndrome.set(s, errors.get(e[0]) ^ errors.get(e[1]) ^ errors.get(e[2]) ^
+                        errors.get(e[3]));
   }
 }
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -29,6 +30,20 @@ class ToricCode {
 
   [[nodiscard]] uint32_t h_edge(size_t x, size_t y) const;
   [[nodiscard]] uint32_t v_edge(size_t x, size_t y) const;
+
+  // Each check's four edges, indexed by site y*L + x and listed in
+  // syndrome-extraction layer order:
+  //   plaquette (x,y): h(x,y), v(x,y), v(x+1,y), h(x,y+1);
+  //   star (x,y):      h(x,y), v(x,y), v(x,y-1), h(x-1,y).
+  // Built once by the constructor; the check operators, the syndromes and
+  // the extraction circuit all read these tables.
+  using CheckEdges = std::array<uint32_t, 4>;
+  [[nodiscard]] const std::vector<CheckEdges>& plaquette_edges() const {
+    return plaquette_edges_;
+  }
+  [[nodiscard]] const std::vector<CheckEdges>& star_edges() const {
+    return star_edges_;
+  }
 
   // Check operators as Pauli strings on the 2L² qubits.
   [[nodiscard]] pauli::PauliString star_operator(size_t x, size_t y) const;
@@ -80,11 +95,13 @@ class ToricCode {
   void prepare_ground_state(sim::TableauSim& sim) const;
 
  private:
-  [[nodiscard]] size_t plaquette_index(size_t x, size_t y) const {
-    return y * l_ + x;
-  }
+  // Parity of each check's four edges in `errors`, one bit per site.
+  void syndrome_into(const std::vector<CheckEdges>& checks,
+                     const gf2::BitVec& errors, gf2::BitVec& syndrome) const;
 
   size_t l_;
+  std::vector<CheckEdges> plaquette_edges_;
+  std::vector<CheckEdges> star_edges_;
 };
 
 }  // namespace ftqc::topo

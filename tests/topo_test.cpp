@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <memory>
+#include <vector>
 
 #include "decode/matching.h"
 #include "decode/spacetime.h"
@@ -279,6 +280,49 @@ TEST(ToricCode, LogicalOperatorsAnticommuteCorrectly) {
     for (size_t y = 0; y < 4; ++y) {
       EXPECT_TRUE(code.logical_z1().commutes_with(code.star_operator(x, y)));
       EXPECT_TRUE(code.logical_x1().commutes_with(code.plaquette_operator(x, y)));
+    }
+  }
+}
+
+// The check-edge table against incidence that does not read it:
+// edge_plaquettes and edge_vertices derive an edge's two checks from its
+// index alone.
+TEST(ToricCode, CheckEdgeTableMatchesIndependentIncidence) {
+  for (size_t l = 2; l <= 7; ++l) {
+    SCOPED_TRACE(l);
+    const ToricCode code(l);
+    const size_t sites = l * l;
+    for (const bool star : {false, true}) {
+      SCOPED_TRACE(star ? "star" : "plaquette");
+      const auto& table = star ? code.star_edges() : code.plaquette_edges();
+      ASSERT_EQ(table.size(), sites);
+      std::vector<std::vector<size_t>> checks_on(code.num_qubits());
+      for (size_t s = 0; s < sites; ++s) {
+        for (const uint32_t e : table[s]) {
+          ASSERT_LT(e, code.num_qubits());
+          const auto [a, b] =
+              star ? code.edge_vertices(e) : code.edge_plaquettes(e);
+          EXPECT_TRUE(a == s || b == s) << "edge " << e << ", check " << s;
+          checks_on[e].push_back(s);
+        }
+      }
+      // Every data qubit lies on exactly two checks of the type.
+      for (size_t e = 0; e < code.num_qubits(); ++e) {
+        ASSERT_EQ(checks_on[e].size(), 2u) << "edge " << e;
+        EXPECT_NE(checks_on[e][0], checks_on[e][1]) << "edge " << e;
+      }
+      // Each extraction layer is one parallel time step: its L² CNOTs touch
+      // L² distinct data qubits.
+      for (size_t layer = 0; layer < 4; ++layer) {
+        std::vector<bool> seen(code.num_qubits(), false);
+        size_t distinct = 0;
+        for (size_t s = 0; s < sites; ++s) {
+          const uint32_t e = table[s][layer];
+          distinct += seen[e] ? 0 : 1;
+          seen[e] = true;
+        }
+        EXPECT_EQ(distinct, sites) << "layer " << layer;
+      }
     }
   }
 }
