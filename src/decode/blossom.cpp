@@ -91,6 +91,7 @@ class BlossomSolver {
     }
     s_.assign(ids, -1);
     lab_.assign(ids, 0);
+    slack_val_.assign(ids, 0);
     // Every vertex dual starts at the largest complement weight.
     const int64_t lab0 = flip - static_cast<int64_t>(w_min);
     for (int u = 1; u <= n_; ++u) {
@@ -140,9 +141,13 @@ class BlossomSolver {
     return lab_[u] + lab_[x] - 2 * weight(u, x);
   }
 
-  void update_slack(int u, int x) {
-    if (slack_[x] == 0 || slack_from(u, x) < slack_from(slack_[x], x)) {
+  // Offers original vertex u, whose least-slack edge to x has slack
+  // `slack`, as x's least-slack S-neighbor. The incumbent's slack is the
+  // stored slack_val_[x], not recomputed.
+  void update_slack(int u, int x, int64_t slack) {
+    if (slack_[x] == 0 || slack < slack_val_[x]) {
       slack_[x] = u;
+      slack_val_[x] = slack;
     }
   }
 
@@ -151,7 +156,9 @@ class BlossomSolver {
     const bool blossom = x > n_;
     for (int u = 1; u <= n_; ++u) {
       const int64_t w = blossom ? row(x)[u].w : weight(u, x);
-      if (w > 0 && st_[u] != x && s_[st_[u]] == 0) update_slack(u, x);
+      if (w > 0 && st_[u] != x && s_[st_[u]] == 0) {
+        update_slack(u, x, slack_from(u, x));
+      }
     }
   }
 
@@ -348,11 +355,14 @@ class BlossomSolver {
         for (int v = 1; v <= n_; ++v) {
           const int st_v = st_[v];
           if (st_u == st_v) continue;
-          if (lab_u + lab_[v] - 2 * w_u[v] == 0) {
+          const int64_t slack = lab_u + lab_[v] - 2 * w_u[v];
+          if (slack == 0) {
             if (on_found_edge({u, v, w_u[v]})) return true;
             st_u = st_[u];
           } else {
-            update_slack(u, st_v);
+            // An uncontracted v is its own surface and `slack` is the edge's;
+            // a blossom's least-slack edge to u is in its adjacency row.
+            update_slack(u, st_v, st_v == v ? slack : slack_from(u, st_v));
           }
         }
       }
@@ -366,9 +376,9 @@ class BlossomSolver {
       for (int x = 1; x <= n_x_; ++x) {
         if (st_[x] == x && slack_[x] != 0) {
           if (s_[x] == -1) {
-            d = std::min(d, slack_from(slack_[x], x));
+            d = std::min(d, slack_val_[x]);
           } else if (s_[x] == 0) {
-            d = std::min(d, slack_from(slack_[x], x) / 2);
+            d = std::min(d, slack_val_[x] / 2);
           }
         }
       }
@@ -389,10 +399,15 @@ class BlossomSolver {
           }
         }
       }
+      // Labels move only here: refresh every stored slack, including those
+      // of ids inside a blossom, which an expansion can bring back.
+      for (int x = 1; x <= n_x_; ++x) {
+        if (slack_[x] != 0) slack_val_[x] = slack_from(slack_[x], x);
+      }
       queue_.clear();
       for (int x = 1; x <= n_x_; ++x) {
         if (st_[x] == x && slack_[x] != 0 && st_[slack_[x]] != x &&
-            slack_from(slack_[x], x) == 0) {
+            slack_val_[x] == 0) {
           if (on_found_edge(edge(slack_[x], x))) return true;
         }
       }
@@ -411,6 +426,7 @@ class BlossomSolver {
   std::vector<int64_t> lab_;
   std::vector<int> match_;
   std::vector<int> slack_;  // per outer vertex: least-slack S-neighbor
+  std::vector<int64_t> slack_val_;  // slack of that edge, when slack_ != 0
   std::vector<int> st_;     // surface id: outermost blossom containing x
   std::vector<int> pa_;
   std::vector<std::vector<int>> flower_;  // blossom cycles
