@@ -24,19 +24,13 @@ namespace ftqc::decode {
 // 2L².. 3L²-1 of `sim` and are reset at the start of each round's prep.
 //
 // One body over the concrete injector type, so no hook is a virtual call.
-// It is instantiated in dem.cpp for the two injectors that run it:
-// StochasticInjector (run_circuit_memory) and FaultPointInjector
-// (ToricDem::build).
+// dem.cpp instantiates it for the two injectors that run it, and only
+// those link: StochasticInjector (run_circuit_memory) and
+// FaultPointInjector (ToricDem::build).
 template <class Injector>
 void run_extraction_round(sim::FrameSim& sim, Injector& injector,
                           const topo::ToricCode& code, ToricSide side,
                           gf2::BitVec& measured_flips);
-extern template void run_extraction_round<ft::StochasticInjector>(
-    sim::FrameSim&, ft::StochasticInjector&, const topo::ToricCode&,
-    ToricSide, gf2::BitVec&);
-extern template void run_extraction_round<ft::FaultPointInjector>(
-    sim::FrameSim&, ft::FaultPointInjector&, const topo::ToricCode&,
-    ToricSide, gf2::BitVec&);
 
 // Detector error model for the circuit above, built by exhaustive single-
 // fault enumeration (the §3 discipline: replay every (location, variant)
