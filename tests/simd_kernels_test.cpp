@@ -8,6 +8,7 @@
 // noisy gadget, and the geometric-skip RNG fill is pinned against a
 // draw-order mirror so its stream cannot silently change.
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -32,6 +33,13 @@ constexpr size_t kWordCounts[] = {1, 3, 4, 5, 8, 13};
 std::vector<uint64_t> random_words(Rng& rng, size_t n) {
   std::vector<uint64_t> out(n);
   for (auto& w : out) w = rng.next_u64();
+  return out;
+}
+
+// Bit patterns of `values`, so that a comparison tells -0.0 from +0.0.
+std::vector<uint64_t> bit_patterns(const std::vector<double>& values) {
+  std::vector<uint64_t> out;
+  for (const double v : values) out.push_back(std::bit_cast<uint64_t>(v));
   return out;
 }
 
@@ -232,6 +240,56 @@ TEST_F(SimdKernelsTest, LogUnitIsElementwiseIdenticalAcrossLevels) {
   }
 }
 
+TEST_F(SimdKernelsTest, SkipLengthsMatchScalarFloorAtEveryLevel) {
+  // The fill walks these lengths, so each must equal the scalar
+  // 1 + floor(log * inv) bit for bit at every level. Tails of 0..17 values
+  // cover every remainder of both vector widths; the logs include log(1) of
+  // u = 0 (a zero product), a -0.0 and the smallest 1 - u, 2^-53, and the
+  // rates run from dense to p = 1e-17, whose products straddle 2^52, where
+  // every double is an integer already.
+  Rng rng(0x5EED);
+  const double rates[] = {0.3, 1e-3, 1e-17};
+  for (size_t n = 0; n <= 17; ++n) {
+    std::vector<double> logs(n);
+    for (double& v : logs) v = 1.0 - rng.next_double();
+    if (n > 0) logs[0] = 1.0;
+    if (n > 2) logs[2] = 0x1.0p-53;
+    simd::log_unit(logs.data(), n);
+    if (n > 1) logs[1] = -0.0;
+    for (const double p : rates) {
+      const double inv = 1.0 / std::log1p(-p);
+      std::vector<double> expected(n);
+      for (size_t i = 0; i < n; ++i) {
+        expected[i] = 1.0 + std::floor(logs[i] * inv);
+      }
+      for (const simd::Level lv : levels()) {
+        simd::set_level(lv);
+        std::vector<double> got(n, -1.0);
+        simd::skip_lengths(logs.data(), inv, got.data(), n);
+        EXPECT_EQ(bit_patterns(got), bit_patterns(expected))
+            << "skip_lengths diverges at level " << simd::level_name(lv)
+            << ", p = " << p << ", " << n << " values";
+      }
+    }
+  }
+  // Products right at the 2^52 boundary (inv = -1 makes the product the
+  // negated log exactly), and halves that round to even on either side.
+  const std::vector<double> edges = {
+      -0x1.0p52, -(0x1.0p52 - 0.5), -(0x1.0p52 - 1.5), -(0x1.0p52 + 2.0),
+      -(0x1.0p53 - 1.0), -(0x1.0p53 + 2.0), -0.5, -1.5, -2.5, -0x1.0p-1074};
+  std::vector<double> expected(edges.size());
+  for (size_t i = 0; i < edges.size(); ++i) {
+    expected[i] = 1.0 + std::floor(edges[i] * -1.0);
+  }
+  for (const simd::Level lv : levels()) {
+    simd::set_level(lv);
+    std::vector<double> got(edges.size(), -1.0);
+    simd::skip_lengths(edges.data(), -1.0, got.data(), edges.size());
+    EXPECT_EQ(bit_patterns(got), bit_patterns(expected))
+        << "at level " << simd::level_name(lv);
+  }
+}
+
 // End to end: a noisy multi-qubit gadget replayed at forced-scalar and at
 // the best supported level must produce identical frames, records, and
 // abort masks — the engine-level statement of the per-kernel pins above.
@@ -289,9 +347,9 @@ TEST_F(SimdKernelsTest, NoisyBatchGadgetIsBitIdenticalAcrossLevels) {
 // Mirrors BatchFrameSim's geometric-skip sampler draw for draw: blocks of
 // kFillBlock uniforms transformed through simd::log_unit, consumed one log
 // at a time across fills (leftovers carry between channel calls with
-// different p). It is the reference for the fill's chunked skip lengths
-// and cached 1/log1p(-p): any change to the RNG stream shows up here as a
-// bit mismatch.
+// different p), each skip 1 + std::floor(log * inv). It is the reference
+// for the fill's per-rate skip tables and cached 1/log1p(-p): any change to
+// the RNG stream shows up here as a bit mismatch.
 class FillMirror {
  public:
   explicit FillMirror(uint64_t seed, size_t shots)
@@ -353,45 +411,59 @@ class FillMirror {
 
 TEST_F(SimdKernelsTest, FillHitWordsMatchesDrawOrderMirror) {
   constexpr uint64_t kSeed = 98765;
-  // One word; 13 words, with tails at both vector widths; and a register
-  // whose dense fills run many chunks and cache refills inside one call.
-  for (const size_t shots : {size_t{64}, size_t{13 * 64}, size_t{65536}}) {
-    SCOPED_TRACE(shots);
-    sim::BatchFrameSim sim(/*num_qubits=*/1, shots, kSeed);
-    FillMirror mirror(kSeed, shots);
-    const auto check = [&](double p) {
-      SCOPED_TRACE(p);
-      const auto expected = mirror.fill(p);
-      const auto got = sim.fill_hit_words(p);
-      if (expected.empty) {
-        EXPECT_FALSE(got);
-        return;
+  // The skip lengths come from a per-level kernel, so run the whole mirror
+  // at every level this host supports.
+  for (const simd::Level lv : levels()) {
+    simd::set_level(lv);
+    SCOPED_TRACE(simd::level_name(lv));
+    // One word; 13 words, with tails at both vector widths; and a register
+    // whose dense fills walk many cache refills inside one call.
+    for (const size_t shots : {size_t{64}, size_t{13 * 64}, size_t{65536}}) {
+      SCOPED_TRACE(shots);
+      sim::BatchFrameSim sim(/*num_qubits=*/1, shots, kSeed);
+      FillMirror mirror(kSeed, shots);
+      const auto check = [&](double p) {
+        SCOPED_TRACE(p);
+        const auto expected = mirror.fill(p);
+        const auto got = sim.fill_hit_words(p);
+        if (expected.empty) {
+          EXPECT_FALSE(got);
+          return;
+        }
+        ASSERT_TRUE(got);
+        EXPECT_EQ(got.dense, expected.dense);
+        EXPECT_EQ(std::vector<uint64_t>(got.bits, got.bits + sim.num_words()),
+                  expected.hit);
+        if (!expected.dense) {
+          EXPECT_EQ(
+              std::vector<uint32_t>(got.dirty, got.dirty + got.num_dirty),
+              expected.dirty);
+        }
+      };
+      // Interleave sparse, dense, degenerate, and moderate p: the leftover
+      // skip logs must carry across calls, the dense path must not consume
+      // draws, and the scratch must come back clean after every shape of
+      // fill.
+      for (const double p :
+           {1e-3, 0.0, 0.4, 1.0, 1e-5, 0.08, 1.5, 1e-3, 0.25}) {
+        check(p);
+        if (HasFailure()) return;
       }
-      ASSERT_TRUE(got);
-      EXPECT_EQ(got.dense, expected.dense);
-      EXPECT_EQ(std::vector<uint64_t>(got.bits, got.bits + sim.num_words()),
-                expected.hit);
-      if (!expected.dense) {
-        EXPECT_EQ(std::vector<uint32_t>(got.dirty, got.dirty + got.num_dirty),
-                  expected.dirty);
+      // A gate call and two erasure calls, over and over: two rates share
+      // the skip tables across many fills and log blocks.
+      for (int fill = 0; fill < 600; ++fill) {
+        check(fill % 3 == 0 ? 1e-3 : 5e-4);
+        if (HasFailure()) return;
       }
-    };
-    // Interleave sparse, dense, degenerate, and moderate p: the leftover
-    // skip logs must carry across calls, the dense path must not consume
-    // draws, and the scratch must come back clean after every shape of
-    // fill.
-    for (const double p : {1e-3, 0.0, 0.4, 1.0, 1e-5, 0.08, 1.5, 1e-3, 0.25}) {
-      check(p);
-      if (HasFailure()) return;
-    }
-    // Then a seeded run of fills whose rate repeats or changes at random,
-    // so the cached 1/log1p(-p) is both reused and replaced, and fills end
-    // at many offsets within a skip-length chunk and within the log cache.
-    const double rates[] = {0.0, 1e-5, 1e-3, 0.02, 0.3, 1.0};
-    Rng pick(kSeed + shots);
-    for (int fill = 0; fill < 300; ++fill) {
-      check(rates[pick.next_below(std::size(rates))]);
-      if (HasFailure()) return;
+      // Then a seeded run of fills whose rate repeats or changes at random,
+      // so the cached 1/log1p(-p) is reused, and a third rate replaces a
+      // table, at many offsets within the log cache.
+      const double rates[] = {0.0, 1e-5, 1e-3, 0.02, 0.3, 1.0};
+      Rng pick(kSeed + shots);
+      for (int fill = 0; fill < 300; ++fill) {
+        check(rates[pick.next_below(std::size(rates))]);
+        if (HasFailure()) return;
+      }
     }
   }
 }
