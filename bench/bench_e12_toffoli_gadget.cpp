@@ -62,7 +62,7 @@ double consumption_failure_rate(double eps, size_t shots, uint64_t seed,
     sim::BatchFrameSim bsim(7, block_shots, block_seed);
     BatchGadgetRunner gadgets(bsim, noise);
     for (uint32_t q : gadget.out_data) bsim.depolarize1(q, eps_anc);
-    const auto rows = gadgets.run(gadget.circuit, kAll, nullptr);
+    const auto& rows = gadgets.run(gadget.circuit, kAll, nullptr);
     const size_t words = bsim.num_words();
     std::vector<uint64_t> fail(words, 0);
     for (size_t r : rows) {

@@ -218,24 +218,26 @@ BatchGadgetRunner::BatchGadgetRunner(sim::BatchFrameSim& sim,
   noise_.validate();
 }
 
-std::vector<size_t> BatchGadgetRunner::run(
+const std::vector<size_t>& BatchGadgetRunner::run(
     const sim::Circuit& circuit, std::span<const uint32_t> active_qubits,
     const uint64_t* lane_mask) {
   using sim::Gate;
+  FTQC_CHECK(circuit.num_qubits() <= sim_.num_qubits(),
+             "circuit larger than frame register");
   // Row indices from earlier gadgets are consumed before the next gadget
   // runs, so the record can be dropped here to keep memory flat.
   sim_.clear_record();
-  std::vector<size_t> rows;
-  rows.reserve(circuit.num_measurements());
-  std::fill(touched_.begin(), touched_.end(), false);
+  rows_.clear();
 
   // Storage locations are free at eps_store = 0: no channel there would
-  // draw anything, so the flush returns before walking the resting qubits
-  // (touched_ is then never read, and the next run() clears it).
+  // draw anything, so nothing marks the qubits a layer touches and the
+  // flush returns before walking the resting qubits.
   const bool storage_noise = noise_.eps_store != 0;
+  if (storage_noise) std::fill(touched_.begin(), touched_.end(), false);
   const auto flush_storage = [&] {
     if (!storage_noise) return;
     for (uint32_t q : active_qubits) {
+      FTQC_CHECK(q < touched_.size(), "active qubit outside frame register");
       if (!touched_[q]) batch_on_storage(sim_, noise_, q, lane_mask);
     }
     std::fill(touched_.begin(), touched_.end(), false);
@@ -243,7 +245,9 @@ std::vector<size_t> BatchGadgetRunner::run(
 
   for (const sim::Operation& op : circuit.ops()) {
     FTQC_CHECK(op.cond < 0, "gadget circuits cannot use feedforward");
-    for (uint32_t t : op.targets) touched_[t] = true;
+    if (storage_noise) {
+      for (uint32_t t : op.targets) touched_[t] = true;
+    }
     switch (op.gate) {
       case Gate::TICK:
         flush_storage();
@@ -280,15 +284,15 @@ std::vector<size_t> BatchGadgetRunner::run(
         break;
       case Gate::M:
         sim_.x_error(op.targets[0], noise_.eps_meas, lane_mask);
-        rows.push_back(sim_.measure_z(op.targets[0]));
+        rows_.push_back(sim_.measure_z(op.targets[0]));
         break;
       case Gate::MX:
         sim_.z_error(op.targets[0], noise_.eps_meas, lane_mask);
-        rows.push_back(sim_.measure_x(op.targets[0]));
+        rows_.push_back(sim_.measure_x(op.targets[0]));
         break;
       case Gate::MR:
         sim_.x_error(op.targets[0], noise_.eps_meas, lane_mask);
-        rows.push_back(sim_.measure_reset(op.targets[0]));
+        rows_.push_back(sim_.measure_reset(op.targets[0]));
         batch_on_prep(sim_, noise_, op.targets[0], lane_mask);
         break;
       case Gate::R:
@@ -309,7 +313,7 @@ std::vector<size_t> BatchGadgetRunner::run(
                               sim::gate_name(op.gate));
     }
   }
-  return rows;
+  return rows_;
 }
 
 BatchCatRetry::BatchCatRetry(sim::BatchFrameSim& sim) : sim_(sim) {}
@@ -334,7 +338,7 @@ uint64_t BatchCatRetry::run(BatchGadgetRunner& gadgets,
     // The prep's leading R gates reset the block on EVERY lane, which is
     // exactly what makes whole-word replay safe: passed lanes are parked,
     // inactive lanes are scrubbed clean so the unitaries act trivially.
-    const auto rows = gadgets.run(prep, active_qubits, need_.data());
+    const auto& rows = gadgets.run(prep, active_qubits, need_.data());
     if (!check && !herald) {
       // Nothing to judge: the first attempt always passes; frames are
       // already in place, so no parking round-trip is needed.

@@ -194,9 +194,11 @@ void batch_logical_errors(const sim::BatchFrameSim& sim,
 // Executes an ideal gadget on all lanes of `sim`, applying the §6 noise
 // hooks of ft::run_gadget (gate/prep/meas/storage) as per-lane random masks
 // restricted to `lane_mask` (nullptr = every lane). Returns the indices of
-// the record rows the gadget measured. The record is cleared first, so row
-// indices from earlier gadgets do not survive a call — consume rows (or
-// copy them out) before running the next gadget.
+// the record rows the gadget measured, in a list the runner owns. The record
+// is cleared first, so the list and the rows from earlier gadgets do not
+// survive a call — consume rows (or copy them out) before running the next
+// gadget. The circuit must fit the sim's register, and every active qubit
+// must lie in it.
 //
 // Unconditional unitaries run on EVERY lane: gadget circuits are
 // frame-linear, so lanes whose gadget qubits carry no noise pass through
@@ -209,9 +211,9 @@ class BatchGadgetRunner {
  public:
   BatchGadgetRunner(sim::BatchFrameSim& sim, const sim::NoiseParams& noise);
 
-  std::vector<size_t> run(const sim::Circuit& circuit,
-                          std::span<const uint32_t> active_qubits,
-                          const uint64_t* lane_mask);
+  const std::vector<size_t>& run(const sim::Circuit& circuit,
+                                 std::span<const uint32_t> active_qubits,
+                                 const uint64_t* lane_mask);
 
   [[nodiscard]] sim::BatchFrameSim& sim() { return sim_; }
   [[nodiscard]] const sim::NoiseParams& noise() const { return noise_; }
@@ -219,6 +221,7 @@ class BatchGadgetRunner {
  private:
   sim::BatchFrameSim& sim_;
   sim::NoiseParams noise_;
+  std::vector<size_t> rows_;   // the last gadget's record rows
   std::vector<bool> touched_;  // per-layer storage-accounting scratch
 };
 

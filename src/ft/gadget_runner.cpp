@@ -11,6 +11,8 @@ void run_gadget(sim::FrameSim& frame, const sim::Circuit& circuit,
                 std::span<const uint32_t> active_qubits,
                 std::vector<uint64_t>& record, std::vector<uint8_t>& touched) {
   using sim::Gate;
+  FTQC_CHECK(circuit.num_qubits() <= frame.num_qubits(),
+             "circuit larger than frame register");
   record.clear();
   // An injector that does nothing at storage locations costs no walk over
   // the resting qubits, and `touched` is then left as it was.
@@ -19,6 +21,7 @@ void run_gadget(sim::FrameSim& frame, const sim::Circuit& circuit,
 
   const auto flush_storage = [&] {
     for (uint32_t q : active_qubits) {
+      FTQC_CHECK(q < touched.size(), "active qubit outside frame register");
       if (!touched[q]) injector.on_storage(frame, q);
     }
     std::fill(touched.begin(), touched.end(), 0);

@@ -22,7 +22,8 @@ namespace ftqc::ft {
 //
 // `active_qubits` names the qubits considered alive for storage accounting;
 // gadget drivers pass the data block plus any in-flight ancillas and exclude
-// qubits not yet prepared. `touched` is per-qubit scratch for it. Both
+// qubits not yet prepared. The circuit must fit the frame's register, and
+// every active qubit must lie in it. `touched` is per-qubit scratch. Both
 // buffers are overwritten and keep their capacity, so a caller that owns
 // them (the one-lane FrameLane) replays gadgets without allocating.
 void run_gadget(sim::FrameSim& frame, const sim::Circuit& circuit,

@@ -10,7 +10,7 @@ std::span<const uint64_t> BatchLanes::run(
     const uint64_t* mask) {
   // The runner clears the record first, so the gadget's rows are rows
   // 0..n-1, stored one after another.
-  const auto rows = gadgets_.run(circuit, active_qubits, mask);
+  const auto& rows = gadgets_.run(circuit, active_qubits, mask);
   if (rows.empty()) return {};
   FTQC_DCHECK(rows.front() == 0 && rows.back() + 1 == rows.size(),
               "gadget rows must start a fresh record");

@@ -16,6 +16,8 @@
 #include "ft/batch_level2.h"
 #include "ft/batch_recovery.h"
 #include "ft/batch_shor.h"
+#include "ft/gadget_runner.h"
+#include "ft/noise_injector.h"
 #include "ft/steane_recovery.h"
 #include "sim/noise_model.h"
 #include "threshold/pseudothreshold.h"
@@ -304,6 +306,34 @@ TEST(BatchGadgetRunner, StorageNoiseHitsRestingActiveQubitsOnMaskedLanes) {
     }
   }
   EXPECT_EQ(quiet.rng().next_u64(), untouched.rng().next_u64());
+}
+
+// A gadget wider than the register, or an active qubit outside it, would
+// write past the frame buffers (and past the runners' storage scratch) in
+// every build. Both runners check before the first op runs.
+TEST(GadgetRunnerDeathTest, RejectCircuitsAndActiveQubitsOutsideTheRegister) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  sim::Circuit wide(5);
+  wide.h(4);
+  wide.tick();
+  sim::Circuit fits(2);
+  fits.h(0);
+  fits.tick();
+  const std::vector<uint32_t> active = {0, 1};
+  const std::vector<uint32_t> outside = {0, 6};
+  const auto noise = sim::NoiseParams::uniform_gate(1e-3, /*eps_store=*/1e-3);
+  const char* kWide = "circuit larger than frame register";
+  const char* kOutside = "active qubit outside frame register";
+
+  sim::BatchFrameSim batch(4, 64, /*seed=*/1);
+  BatchGadgetRunner runner(batch, noise);
+  EXPECT_DEATH(runner.run(wide, active, nullptr), kWide);
+  EXPECT_DEATH(runner.run(fits, outside, nullptr), kOutside);
+
+  sim::FrameSim frame(4, /*seed=*/1);
+  StochasticInjector injector(noise);
+  EXPECT_DEATH((void)run_gadget(frame, wide, injector, active), kWide);
+  EXPECT_DEATH((void)run_gadget(frame, fits, injector, outside), kOutside);
 }
 
 // Verdicts of fixed-seed Steane cycles on both engines: serial shots, each

@@ -99,6 +99,23 @@ TEST(FrameSimDeathTest, GatesCheckIndicesBeforeReadingHeralds) {
   EXPECT_DEATH(sim.apply_cz(3, 0), kMsg);
   EXPECT_DEATH(sim.apply_swap(0, 3), kMsg);
 }
+
+// BatchFrameSim's per-qubit calls check their indices the same way before
+// they touch a frame or herald word.
+TEST(BatchFrameSimDeathTest, PerQubitCallsCheckIndices) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  BatchFrameSim sim(3, 64);
+  const char* kMsg = "qubit index out of range";
+  EXPECT_DEATH(sim.apply_h(3), kMsg);
+  EXPECT_DEATH(sim.apply_cx(0, 3), kMsg);
+  EXPECT_DEATH(sim.apply_swap(3, 0), kMsg);
+  EXPECT_DEATH(sim.depolarize2(0, 3, 1.0), kMsg);
+  EXPECT_DEATH(sim.erase_error(3, 1.0), kMsg);
+  EXPECT_DEATH(sim.inject_z_masked(3, sim.abort_mask()), kMsg);
+  EXPECT_DEATH((void)sim.measure_x(3), kMsg);
+  EXPECT_DEATH(sim.reset(3), kMsg);
+  EXPECT_DEATH((void)sim.heralded(3, 0), kMsg);
+}
 #endif
 
 // Statistical agreement between FrameSim and TableauSim on a noisy circuit:
