@@ -78,6 +78,7 @@ Circuit add_noise(const Circuit& ideal, const NoiseParams& params) {
         flush_storage();
         continue;
       case Gate::M:
+      case Gate::MR:
         if (params.eps_meas > 0) noisy.x_error(op.targets[0], params.eps_meas);
         break;
       case Gate::MX:

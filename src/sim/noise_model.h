@@ -108,8 +108,10 @@ struct NoiseParams {
 };
 
 // Compiles an ideal circuit into a noisy one by inserting channel ops:
-// gate noise directly after each unitary, measurement/preparation noise
-// around M/R, and storage noise on the qubits that idled in each TICK layer.
+// gate noise directly after each unitary, measurement noise before each
+// M/MX/MR, preparation noise after each R/MR, and storage noise on the
+// qubits that idled in each TICK layer: the fault opportunities
+// ft::run_gadget announces when every qubit is active.
 [[nodiscard]] Circuit add_noise(const Circuit& ideal, const NoiseParams& params);
 
 // Number of fault locations the model exposes in a circuit (used by the

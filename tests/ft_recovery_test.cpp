@@ -3,6 +3,7 @@
 #include "codes/library.h"
 #include "common/stats.h"
 #include "ft/fault_enumeration.h"
+#include "ft/gadget_runner.h"
 #include "ft/generic_recovery.h"
 #include "ft/noise_injector.h"
 #include "ft/steane_recovery.h"
@@ -209,6 +210,35 @@ TEST(FaultEnumeration, RecorderCountsLocationsDeterministically) {
   steane_cycle_fails_under(rec2, 99);
   EXPECT_EQ(rec1.num_locations(), rec2.num_locations());
   EXPECT_EQ(rec1.kinds().size(), rec1.num_locations());
+}
+
+// sim::add_noise and the gadget runners write the §6 location model
+// separately; with every qubit active they must name the same locations.
+// MR takes a measurement flip before it and a preparation fault after it.
+TEST(FaultEnumeration, AddNoiseCompilesEveryLocationRunGadgetAnnounces) {
+  sim::Circuit c(4);
+  for (uint32_t q = 0; q < 4; ++q) c.r(q);
+  c.tick();
+  c.h(0);
+  c.s(1);
+  c.x(2);
+  c.tick();
+  c.cx(0, 1);
+  c.cz(2, 3);
+  c.tick();
+  c.swap(1, 2);
+  c.tick();
+  c.m(0);
+  c.mx(1);
+  c.mr(2);
+  c.tick();
+  const auto params = sim::NoiseParams::uniform_gate(1e-3, /*eps_store=*/1e-3);
+  const std::vector<uint32_t> all = {0, 1, 2, 3};
+  sim::FrameSim frame(4);
+  FaultPointInjector recorder;
+  (void)run_gadget(frame, c, recorder, all);
+  EXPECT_EQ(sim::count_fault_locations(sim::add_noise(c, params)),
+            recorder.num_locations());
 }
 
 TEST(StochasticRecovery, LowNoiseRarelyFails) {
