@@ -69,25 +69,6 @@ void BatchFrameSim::refill_skip_log() {
   rng_ = rng;
   simd::log_unit(skip_log_.data(), kFillBlock);
   skip_pos_ = 0;
-  ++skip_block_;
-}
-
-BatchFrameSim::SkipTable& BatchFrameSim::skip_table(double p) {
-  // Drivers call the channels at a handful of distinct rates, so the log1p
-  // and the division are paid only when a rate comes back after two others.
-  // A NaN rate slips past fill_hit_words' guards and would walk forever;
-  // NaN != NaN sends it here.
-  if (skip_tables_[skip_recent_].p != p) {
-    skip_recent_ ^= 1;
-    SkipTable& older = skip_tables_[skip_recent_];
-    if (older.p != p) {
-      FTQC_CHECK(!std::isnan(p), "fill_hit_words: probability is NaN");
-      older.p = p;
-      older.inv = 1.0 / std::log1p(-p);
-      older.block = 0;
-    }
-  }
-  return skip_tables_[skip_recent_];
 }
 
 BatchFrameSim::HitWords BatchFrameSim::fill_hit_words(double p) {
@@ -107,36 +88,38 @@ BatchFrameSim::HitWords BatchFrameSim::fill_hit_words(double p) {
     hit_dense_ = true;
     return {hit_.data(), nullptr, 0, true};
   }
-  SkipTable& table = skip_table(p);
+  // Drivers call the channels at a handful of distinct rates, so the log1p
+  // and the division are paid only when the rate changes. A NaN rate slips
+  // past both guards above and would walk forever; NaN != NaN sends it here.
+  if (p != skip_p_) {
+    FTQC_CHECK(!std::isnan(p), "fill_hit_words: probability is NaN");
+    skip_p_ = p;
+    skip_inv_ = 1.0 / std::log1p(-p);
+  }
   // Sample the set-bit positions via geometric skipping over the whole shot
   // register: one skip per hit plus the one that overshoots the register,
-  // not one per word and not one per bit. The walk keeps its state in
-  // locals — calling the out-of-line refill from inside the hot loop would
-  // force the members to be reloaded on every iteration.
-  const auto total = static_cast<double>(shots_);
+  // not one per word and not one per bit. The cache is consumed with all
+  // loop state in locals — calling the out-of-line refill from inside the
+  // hot loop would force the members to be reloaded on every iteration.
+  // Each skip length is converted where the walk consumes it, so a call
+  // converts exactly the logs it uses, whatever rate came before. The
+  // conversion reads only its log, not the running position, so the
+  // loop-carried chain stays one integer add per hit.
+  const double inv = skip_inv_;
+  const auto total = static_cast<int64_t>(shots_);
+  const double* const logs = skip_log_.data();
   uint64_t* const hit = hit_.data();
   uint32_t* const dirty = hit_dirty_.data();
   size_t ndirty = 0;
   uint32_t last = ~uint32_t{0};
-  double position = -1.0;  // the +1 below makes the first skip start at 0
+  int64_t position = -1;  // the skip's +1 makes the first one start at 0
   for (;;) {
     if (skip_pos_ == kFillBlock) refill_skip_log();
-    // Convert the rest of the block once for this rate. The skip lengths
-    // are elementwise in the cached logs, so the walk carries only a bare
-    // add chain per hit instead of mul+floor+add, which at dense p was the
-    // fill's critical path.
-    if (table.block != skip_block_) {
-      simd::skip_lengths(skip_log_.data() + skip_pos_, table.inv,
-                         table.skips.data() + skip_pos_,
-                         kFillBlock - skip_pos_);
-      table.block = skip_block_;
-    }
-    const double* const skips = table.skips.data();
     size_t i = skip_pos_;
     while (i < kFillBlock) {
-      position += skips[i++];
+      position += skip_length(logs[i++], inv);
       if (position >= total) break;
-      const auto bit = static_cast<size_t>(position);
+      const auto bit = static_cast<uint64_t>(position);
       const auto word = static_cast<uint32_t>(bit >> 6);
       hit[word] |= uint64_t{1} << (bit & 63);
       // Branchless dirty append: at dense p consecutive hits often share a

@@ -199,13 +199,11 @@ class BatchFrameSim {
   // log1p division per word even when no bit lands there).
   //
   // Cost model: O(hits) plus a small per-call constant. A call consumes
-  // hits + 1 skip logarithms and walks their skip lengths, which are
-  // converted (simd::skip_lengths) once per kFillBlock-log block and rate,
-  // not per call: the sim keeps the converted block of the last two rates
-  // it served, so a gate call and the erasure calls after it do not undo
-  // each other's conversion. A fill re-zeroes only the words the previous
-  // fill dirtied. p <= 0 is free: it returns at once and draws nothing.
-  // p >= 1 sets every word without drawing. A NaN p fails an FTQC_CHECK.
+  // hits + 1 skip logarithms and converts each to a skip length as it walks
+  // (skip_length), re-zeroes only the words the previous fill dirtied, and
+  // recomputes 1/log1p(-p) only when p differs from the previous call's.
+  // p <= 0 is free: it returns at once and draws nothing. p >= 1 sets every
+  // word without drawing. A NaN p fails an FTQC_CHECK.
   //
   // Public for the kernel benchmark breakdown and the fill regression test;
   // callers other than the channels must not hold the returned pointers
@@ -216,6 +214,17 @@ class BatchFrameSim {
   // regression test mirrors this draw order exactly; change the two
   // together.
   static constexpr size_t kFillBlock = 256;
+
+  // The geometric skip 1 + floor(log * inv) of one cached logarithm at the
+  // rate whose 1/log1p(-p) is `inv`. A fill's products are >= 0 (log <= 0,
+  // inv < 0), where the truncating conversion is the exact floor, with no
+  // libm call. Products from 2^62 up saturate there, far past any register,
+  // so the walk stops on them just as it would on the exact length.
+  [[nodiscard]] static int64_t skip_length(double log, double inv) {
+    constexpr double kCap = 0x1p62;
+    const double x = log * inv;
+    return 1 + static_cast<int64_t>(x < kCap ? x : kCap);
+  }
 
  private:
   // Every per-qubit entry point reaches the frames and heralds through these
@@ -237,30 +246,14 @@ class BatchFrameSim {
     return &frames_[(2 * q + 1) * words_];
   }
 
-  // Skip lengths 1 + floor(log * inv) of one log block at one rate. They
-  // are converted from the cursor at the rate's first fill in the block to
-  // the block's end; the cursor only advances within a block, so a table of
-  // the current block covers every log a fill can still consume.
-  struct SkipTable {
-    double p = 0.0;         // the rate (0: unused; a fill never asks for 0)
-    double inv = 0.0;       // 1 / log1p(-p)
-    uint64_t block = 0;     // skip_block_ the lengths belong to (0: none)
-    std::array<double, kFillBlock> skips{};
-  };
-
-  // The table of rate p, claiming the least recently served one (and
-  // dropping its lengths) for a rate not among the last two.
-  SkipTable& skip_table(double p);
-
   void randomize_gauge(uint64_t* component);
 
-  // Refills skip_log_ with kFillBlock values log(1-u), u ~ U[0,1), and
-  // starts a new block number. The geometric skip divides each by
-  // log1p(-p), and the log is p-independent — so the draws are taken and
-  // transformed a block at a time through the simd::log_unit kernel (the
-  // one-at-a-time version chained every libm call through the running
-  // position and was latency-bound), and leftovers carry across channel
-  // calls with different p, wasting nothing.
+  // Refills skip_log_ with kFillBlock values log(1-u), u ~ U[0,1). The
+  // geometric skip divides each by log1p(-p), and the log is p-independent
+  // — so the draws are taken and transformed a block at a time through the
+  // simd::log_unit kernel (the one-at-a-time version chained every libm
+  // call through the running position and was latency-bound), and leftovers
+  // carry across channel calls with different p, wasting nothing.
   void refill_skip_log();
 
   [[nodiscard]] uint64_t* herald_word_mut(size_t q) {
@@ -285,9 +278,8 @@ class BatchFrameSim {
   bool hit_dense_ = false;           // last fill set every word (p >= 1)
   std::array<double, kFillBlock> skip_log_;  // precomputed log1p(-u) draws
   size_t skip_pos_ = kFillBlock;             // consumed prefix; == => refill
-  uint64_t skip_block_ = 0;                  // refills so far
-  std::array<SkipTable, 2> skip_tables_;
-  size_t skip_recent_ = 0;  // the table the last sparse fill walked
+  double skip_p_ = 0.0;    // rate of the last sparse fill (0: none yet)
+  double skip_inv_ = 0.0;  // 1 / log1p(-skip_p_)
   Rng rng_;
 };
 

@@ -107,11 +107,5 @@ void or_rows_masked(const uint64_t* rows, size_t num_rows,
 // which is orders below anything a sampling application can resolve.
 // Inputs outside (0, 1] are unsupported.
 void log_unit(double* values, size_t n);
-// out[i] = 1.0 + floor(logs[i] * inv): the geometric skip lengths of a block
-// of log_unit outputs at the rate whose 1/log1p(-p) is `inv`. The floor is
-// exact (no libm call), so every level returns exactly what the scalar
-// expression does. Negative products are unsupported; a fill's never are
-// (logs <= 0, inv < 0).
-void skip_lengths(const double* logs, double inv, double* out, size_t n);
 
 }  // namespace ftqc::sim::simd

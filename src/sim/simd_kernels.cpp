@@ -1,7 +1,6 @@
 #include "sim/simd.h"
 
 #include <atomic>
-#include <bit>
 #include <cstdlib>
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -67,7 +66,6 @@ struct KernelTable {
   void (*or_rows_masked)(const uint64_t*, size_t, const uint64_t*, uint64_t*,
                          size_t);
   void (*log_unit)(double*, size_t);
-  void (*skip_lengths)(const double*, double, double*, size_t);
 };
 
 #define FTQC_SIMD_TABLE(ns)                                            \
@@ -75,8 +73,7 @@ struct KernelTable {
     ns::xor_into, ns::xor_masked_into, ns::xor2_into, ns::swap_words,  \
         ns::or_into, ns::or_not_into, ns::and_into, ns::and_eq_into,   \
         ns::andnot, ns::blend_into, ns::xor_and, ns::select3_and,      \
-        ns::hamming7_decode, ns::or_rows_masked, ns::log_unit,         \
-        ns::skip_lengths                                               \
+        ns::hamming7_decode, ns::or_rows_masked, ns::log_unit          \
   }
 
 const KernelTable kTables[3] = {
@@ -221,8 +218,5 @@ void or_rows_masked(const uint64_t* rows, size_t num_rows,
   table().or_rows_masked(rows, num_rows, active, out, words);
 }
 void log_unit(double* values, size_t n) { table().log_unit(values, n); }
-void skip_lengths(const double* logs, double inv, double* out, size_t n) {
-  table().skip_lengths(logs, inv, out, n);
-}
 
 }  // namespace ftqc::sim::simd

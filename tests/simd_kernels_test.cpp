@@ -8,7 +8,6 @@
 // noisy gadget, and the geometric-skip RNG fill is pinned against a
 // draw-order mirror so its stream cannot silently change.
 #include <array>
-#include <bit>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -33,13 +32,6 @@ constexpr size_t kWordCounts[] = {1, 3, 4, 5, 8, 13};
 std::vector<uint64_t> random_words(Rng& rng, size_t n) {
   std::vector<uint64_t> out(n);
   for (auto& w : out) w = rng.next_u64();
-  return out;
-}
-
-// Bit patterns of `values`, so that a comparison tells -0.0 from +0.0.
-std::vector<uint64_t> bit_patterns(const std::vector<double>& values) {
-  std::vector<uint64_t> out;
-  for (const double v : values) out.push_back(std::bit_cast<uint64_t>(v));
   return out;
 }
 
@@ -240,56 +232,6 @@ TEST_F(SimdKernelsTest, LogUnitIsElementwiseIdenticalAcrossLevels) {
   }
 }
 
-TEST_F(SimdKernelsTest, SkipLengthsMatchScalarFloorAtEveryLevel) {
-  // The fill walks these lengths, so each must equal the scalar
-  // 1 + floor(log * inv) bit for bit at every level. Tails of 0..17 values
-  // cover every remainder of both vector widths; the logs include log(1) of
-  // u = 0 (a zero product), a -0.0 and the smallest 1 - u, 2^-53, and the
-  // rates run from dense to p = 1e-17, whose products straddle 2^52, where
-  // every double is an integer already.
-  Rng rng(0x5EED);
-  const double rates[] = {0.3, 1e-3, 1e-17};
-  for (size_t n = 0; n <= 17; ++n) {
-    std::vector<double> logs(n);
-    for (double& v : logs) v = 1.0 - rng.next_double();
-    if (n > 0) logs[0] = 1.0;
-    if (n > 2) logs[2] = 0x1.0p-53;
-    simd::log_unit(logs.data(), n);
-    if (n > 1) logs[1] = -0.0;
-    for (const double p : rates) {
-      const double inv = 1.0 / std::log1p(-p);
-      std::vector<double> expected(n);
-      for (size_t i = 0; i < n; ++i) {
-        expected[i] = 1.0 + std::floor(logs[i] * inv);
-      }
-      for (const simd::Level lv : levels()) {
-        simd::set_level(lv);
-        std::vector<double> got(n, -1.0);
-        simd::skip_lengths(logs.data(), inv, got.data(), n);
-        EXPECT_EQ(bit_patterns(got), bit_patterns(expected))
-            << "skip_lengths diverges at level " << simd::level_name(lv)
-            << ", p = " << p << ", " << n << " values";
-      }
-    }
-  }
-  // Products right at the 2^52 boundary (inv = -1 makes the product the
-  // negated log exactly), and halves that round to even on either side.
-  const std::vector<double> edges = {
-      -0x1.0p52, -(0x1.0p52 - 0.5), -(0x1.0p52 - 1.5), -(0x1.0p52 + 2.0),
-      -(0x1.0p53 - 1.0), -(0x1.0p53 + 2.0), -0.5, -1.5, -2.5, -0x1.0p-1074};
-  std::vector<double> expected(edges.size());
-  for (size_t i = 0; i < edges.size(); ++i) {
-    expected[i] = 1.0 + std::floor(edges[i] * -1.0);
-  }
-  for (const simd::Level lv : levels()) {
-    simd::set_level(lv);
-    std::vector<double> got(edges.size(), -1.0);
-    simd::skip_lengths(edges.data(), -1.0, got.data(), edges.size());
-    EXPECT_EQ(bit_patterns(got), bit_patterns(expected))
-        << "at level " << simd::level_name(lv);
-  }
-}
-
 // End to end: a noisy multi-qubit gadget replayed at forced-scalar and at
 // the best supported level must produce identical frames, records, and
 // abort masks — the engine-level statement of the per-kernel pins above.
@@ -344,11 +286,47 @@ TEST_F(SimdKernelsTest, NoisyBatchGadgetIsBitIdenticalAcrossLevels) {
   }
 }
 
+// The fill converts each log to a skip length where its walk consumes it,
+// so its draws stay those of the mirror below only if the conversion is
+// 1 + std::floor(log * inv) exactly. The logs include log(1) of u = 0, a
+// -0.0 and that of the smallest 1 - u, 2^-53; the rates run from dense to
+// p = 1e-18, whose products pass 2^62, where the length saturates.
+TEST_F(SimdKernelsTest, SkipLengthMatchesScalarFloor) {
+  constexpr double kCap = 0x1p62;
+  const auto expected = [&](double x) -> int64_t {
+    return x < kCap ? 1 + static_cast<int64_t>(std::floor(x))
+                    : 1 + (int64_t{1} << 62);
+  };
+  Rng rng(0x5EED);
+  std::vector<double> logs(64);
+  for (double& v : logs) v = 1.0 - rng.next_double();
+  logs[0] = 1.0;
+  logs[2] = 0x1.0p-53;
+  simd::log_unit(logs.data(), logs.size());
+  logs[1] = -0.0;
+  for (const double p : {0.3, 1e-3, 1e-17, 1e-18}) {
+    const double inv = 1.0 / std::log1p(-p);
+    for (const double log : logs) {
+      EXPECT_EQ(sim::BatchFrameSim::skip_length(log, inv), expected(log * inv))
+          << "p = " << p << ", log = " << log;
+    }
+  }
+  // Products at and between integers, around 2^52 (from there every double
+  // is an integer) and at the cap (inv = -1 makes the product the negated
+  // log exactly).
+  for (const double x :
+       {0.0, 0x1.0p-1074, 0.5, 1.0 - 0x1.0p-53, 1.0, 1.5, 2.5, 0x1.0p52 - 0.5,
+        0x1.0p52, 0x1.0p52 + 2.0, 0x1.0p53 + 2.0, 0x1.0p62 - 512.0, 0x1.0p62,
+        0x1.0p63, HUGE_VAL}) {
+    EXPECT_EQ(sim::BatchFrameSim::skip_length(-x, -1.0), expected(x)) << x;
+  }
+}
+
 // Mirrors BatchFrameSim's geometric-skip sampler draw for draw: blocks of
 // kFillBlock uniforms transformed through simd::log_unit, consumed one log
 // at a time across fills (leftovers carry between channel calls with
 // different p), each skip 1 + std::floor(log * inv). It is the reference
-// for the fill's per-rate skip tables and cached 1/log1p(-p): any change to
+// for the fill's inline skip lengths and cached 1/log1p(-p): any change to
 // the RNG stream shows up here as a bit mismatch.
 class FillMirror {
  public:
@@ -411,8 +389,8 @@ class FillMirror {
 
 TEST_F(SimdKernelsTest, FillHitWordsMatchesDrawOrderMirror) {
   constexpr uint64_t kSeed = 98765;
-  // The skip lengths come from a per-level kernel, so run the whole mirror
-  // at every level this host supports.
+  // The logs come from the per-level log_unit kernel, so run the whole
+  // mirror at every level this host supports.
   for (const simd::Level lv : levels()) {
     simd::set_level(lv);
     SCOPED_TRACE(simd::level_name(lv));
@@ -449,15 +427,9 @@ TEST_F(SimdKernelsTest, FillHitWordsMatchesDrawOrderMirror) {
         check(p);
         if (HasFailure()) return;
       }
-      // A gate call and two erasure calls, over and over: two rates share
-      // the skip tables across many fills and log blocks.
-      for (int fill = 0; fill < 600; ++fill) {
-        check(fill % 3 == 0 ? 1e-3 : 5e-4);
-        if (HasFailure()) return;
-      }
       // Then a seeded run of fills whose rate repeats or changes at random,
-      // so the cached 1/log1p(-p) is reused, and a third rate replaces a
-      // table, at many offsets within the log cache.
+      // so the cached 1/log1p(-p) is both reused and replaced, and fills
+      // end at many offsets within the log cache.
       const double rates[] = {0.0, 1e-5, 1e-3, 0.02, 0.3, 1.0};
       Rng pick(kSeed + shots);
       for (int fill = 0; fill < 300; ++fill) {
