@@ -224,6 +224,9 @@ const std::vector<size_t>& BatchGadgetRunner::run(
   using sim::Gate;
   FTQC_CHECK(circuit.num_qubits() <= sim_.num_qubits(),
              "circuit larger than frame register");
+  for (uint32_t q : active_qubits) {
+    FTQC_CHECK(q < sim_.num_qubits(), "active qubit outside frame register");
+  }
   // Row indices from earlier gadgets are consumed before the next gadget
   // runs, so the record can be dropped here to keep memory flat.
   sim_.clear_record();
@@ -237,7 +240,6 @@ const std::vector<size_t>& BatchGadgetRunner::run(
   const auto flush_storage = [&] {
     if (!storage_noise) return;
     for (uint32_t q : active_qubits) {
-      FTQC_CHECK(q < touched_.size(), "active qubit outside frame register");
       if (!touched_[q]) batch_on_storage(sim_, noise_, q, lane_mask);
     }
     std::fill(touched_.begin(), touched_.end(), false);

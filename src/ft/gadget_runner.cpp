@@ -13,6 +13,9 @@ void run_gadget(sim::FrameSim& frame, const sim::Circuit& circuit,
   using sim::Gate;
   FTQC_CHECK(circuit.num_qubits() <= frame.num_qubits(),
              "circuit larger than frame register");
+  for (uint32_t q : active_qubits) {
+    FTQC_CHECK(q < frame.num_qubits(), "active qubit outside frame register");
+  }
   record.clear();
   // An injector that does nothing at storage locations costs no walk over
   // the resting qubits, and `touched` is then left as it was.
@@ -21,7 +24,6 @@ void run_gadget(sim::FrameSim& frame, const sim::Circuit& circuit,
 
   const auto flush_storage = [&] {
     for (uint32_t q : active_qubits) {
-      FTQC_CHECK(q < touched.size(), "active qubit outside frame register");
       if (!touched[q]) injector.on_storage(frame, q);
     }
     std::fill(touched.begin(), touched.end(), 0);
