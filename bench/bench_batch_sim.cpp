@@ -2,9 +2,6 @@
 // class so the rolling-baseline trend step can tell WHICH layer regressed:
 //   fill    — the geometric-skip RNG hit-word fill (fill_hit_words), the
 //             stochastic channels' dominant cost at physical error rates;
-//   fill_mixed — the same fill on a 1024-lane register (a recovery block)
-//             at changing rates: a gate call at 1e-3, then two erasure
-//             calls at 5e-4, the per-call path a gadget replay takes;
 //   laneop  — the streaming SIMD word kernels (simd::xor_into) that move
 //             frames around once the hit words exist;
 //   decode  — the bit-sliced Hamming [7,4,3] decode (batch_decode_rows);
@@ -80,18 +77,6 @@ int main(int argc, char** argv) {
     const double rate = lanes / seconds_since(start);
     table.add_row({"fill", "1e-03", ftqc::strfmt("%.3g", rate)});
     json.add("fill_lanes_per_sec", rate);
-  }
-  {
-    sim::BatchFrameSim block(/*num_qubits=*/1, /*shots=*/1024, /*seed=*/12345);
-    const double rates[] = {1e-3, 5e-4, 5e-4};
-    // As many lanes as the fill row, in calls of 1024 lanes each.
-    const size_t calls = static_cast<size_t>(lanes) / block.num_shots();
-    const auto start = Clock::now();
-    for (size_t c = 0; c < calls; ++c) (void)block.fill_hit_words(rates[c % 3]);
-    const double rate = static_cast<double>(calls * block.num_shots()) /
-                        seconds_since(start);
-    table.add_row({"fill_mixed", "1e-3/5e-4", ftqc::strfmt("%.3g", rate)});
-    json.add("fill_mixed_lanes_per_sec", rate);
   }
 
   // --- laneop: the streaming word kernels, at the active and the scalar
