@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "common/check.h"
@@ -29,6 +30,9 @@ namespace {
 // blossom-blossom entries are kept in both rows. One instance lives per
 // thread and keeps every buffer across solves, so a steady-state solve
 // allocates nothing.
+//
+// Most phases augment before any dual adjustment, so each phase first runs
+// over tight edges alone and makes no slack offers (see grow_forest).
 class BlossomSolver {
  public:
   // Runs augmentation phases to exhaustion and returns the matched partner of
@@ -60,11 +64,12 @@ class BlossomSolver {
     for (size_t i = 0; i < n; ++i) {
       for (size_t j = i + 1; j < n; ++j) {
         const size_t d = weights[i * n + j];
-        FTQC_CHECK(d < kMaxWeight, "metric too large for exact matching duals");
         w_max = std::max(w_max, d);
         w_min = std::min(w_min, d);
       }
     }
+    FTQC_CHECK(w_max < kMaxWeight,
+               "metric too large for exact matching duals");
     const int64_t flip = static_cast<int64_t>(w_max) + 1;
 
     n_ = static_cast<int>(n);
@@ -99,7 +104,11 @@ class BlossomSolver {
       lab_[u] = lab0;
     }
     vis_stamp_ = 0;
+    tight_epoch_.assign(stride_, 0);
+    label_epoch_ = 1;
     // Room for the up to n blossom ids n+1..2n; buffers only ever grow.
+    tight_.resize(std::max(tight_.size(), stride_ * stride_));
+    tight_len_.resize(std::max(tight_len_.size(), stride_));
     rows_.resize(std::max(rows_.size(), n * ids));
     flower_from_.resize(std::max(flower_from_.size(), n * stride_));
     flower_.resize(std::max(flower_.size(), n));
@@ -139,6 +148,25 @@ class BlossomSolver {
   [[nodiscard]] int64_t slack_from(int u, int x) {
     if (x > n_) return edge_slack(row(x)[u]);
     return lab_[u] + lab_[x] - 2 * weight(u, x);
+  }
+
+  // The original vertices joined to original vertex u by a tight edge,
+  // ascending. Labels move only in a dual adjustment, which starts a new
+  // label epoch, so a list is built once per epoch.
+  std::span<const int> tight_neighbors(int u) {
+    int* list = &tight_[static_cast<size_t>(u) * stride_];
+    if (tight_epoch_[u] != label_epoch_) {
+      tight_epoch_[u] = label_epoch_;
+      const int64_t lab_u = lab_[u];
+      const int64_t* w_u = &weight_[static_cast<size_t>(u) * stride_];
+      int count = 0;
+      for (int v = 1; v <= n_; ++v) {
+        list[count] = v;
+        count += lab_u + lab_[v] == 2 * w_u[v] ? 1 : 0;
+      }
+      tight_len_[u] = count;
+    }
+    return {list, static_cast<size_t>(tight_len_[u])};
   }
 
   // Offers original vertex u, whose least-slack edge to x has slack
@@ -274,7 +302,11 @@ class BlossomSolver {
         }
       }
     }
-    set_slack(b);
+    if (offering_) {
+      set_slack(b);
+    } else {
+      contracted_.push_back(b);
+    }
   }
 
   // A T-blossom whose dual hit zero no longer pays to stay contracted; its
@@ -327,10 +359,9 @@ class BlossomSolver {
     return false;
   }
 
-  // One phase: BFS the S-forest over tight edges, adjusting duals when it
-  // stalls, until an augmenting path is found (true) or the duals prove no
-  // further augmentation can raise the total weight (false).
-  bool grow_forest() {
+  // Labels every free surface S and queues its vertices, clearing every
+  // stored slack; false when no surface is free.
+  bool start_phase() {
     std::fill(s_.begin(), s_.end(), -1);
     std::fill(slack_.begin(), slack_.end(), 0);
     queue_.clear();
@@ -341,7 +372,55 @@ class BlossomSolver {
         queue_push(x);
       }
     }
-    if (queue_.empty()) return false;
+    return !queue_.empty();
+  }
+
+  // The phase's BFS over tight edges only, with the queue, scan order and
+  // on_found_edge calls of grow_with_offers' first pass but none of its
+  // slack offers. True when it augments, false when the queue drains.
+  bool grow_tight() {
+    for (size_t head = 0; head < queue_.size(); ++head) {
+      const int u = queue_[head];
+      int st_u = st_[u];
+      if (s_[st_u] == 1) continue;
+      const int64_t* w_u = &weight_[static_cast<size_t>(u) * stride_];
+      for (const int v : tight_neighbors(u)) {
+        if (st_[v] == st_u) continue;
+        if (on_found_edge({u, v, w_u[v]})) return true;
+        st_u = st_[u];
+      }
+    }
+    return false;
+  }
+
+  // One phase: an augmenting path is found (true) or the duals prove no
+  // further augmentation can raise the total weight (false). No structural
+  // step reads a stored slack before the first dual adjustment, so a tight
+  // pass that augments leaves the state the offering loop would. One that
+  // drains is rolled back, newest contraction first, and the phase reruns
+  // with offers; the rerun takes the same steps in the same order and writes
+  // every other entry the pass wrote (pa_, a re-created id's match_, lab_,
+  // rows and cycle) before it reads it.
+  bool grow_forest() {
+    const int n_x = n_x_;
+    if (!start_phase()) return false;
+    offering_ = false;
+    contracted_.clear();
+    const bool augmented = grow_tight();
+    offering_ = true;
+    if (augmented) return true;
+    for (auto b = contracted_.rbegin(); b != contracted_.rend(); ++b) {
+      for (const int inner : flower(*b)) set_st(inner, inner);
+      st_[*b] = 0;
+    }
+    n_x_ = n_x;
+    start_phase();
+    return grow_with_offers();
+  }
+
+  // BFS the S-forest over tight edges, offering every other edge's slack
+  // and adjusting duals when it stalls.
+  bool grow_with_offers() {
     for (;;) {
       // The queue only grows while it drains; index it instead of popping.
       for (size_t head = 0; head < queue_.size(); ++head) {
@@ -382,6 +461,7 @@ class BlossomSolver {
           }
         }
       }
+      ++label_epoch_;
       for (int u = 1; u <= n_; ++u) {
         if (s_[st_[u]] == 0) {
           if (lab_[u] <= d) return false;  // maximum reached
@@ -436,6 +516,12 @@ class BlossomSolver {
   std::vector<int> vis_;
   int vis_stamp_ = 0;
   std::vector<int> queue_;
+  std::vector<int> tight_;            // tight_neighbors lists, stride_ wide
+  std::vector<int> tight_len_;        // their lengths
+  std::vector<int64_t> tight_epoch_;  // label epoch each list was built in
+  int64_t label_epoch_ = 0;           // bumped by every dual adjustment
+  bool offering_ = true;              // false during a phase's tight pass
+  std::vector<int> contracted_;       // blossoms the tight pass contracted
 };
 
 }  // namespace

@@ -211,15 +211,23 @@ double ToricDem::p_time(double eps) const {
 
 SpacetimeOptions ToricDem::weights_at(double eps, double scale) const {
   FTQC_CHECK(eps > 0 && eps < 1, "physical fault rate must be in (0, 1)");
+  FTQC_CHECK(std::isfinite(scale) && scale > 0,
+             "weight scale must be finite and positive");
   const double ps = std::min(0.5, p_space(eps));
   const double pt = std::min(0.5, p_time(eps));
   FTQC_CHECK(ps > 0 && pt > 0,
              "detector error model has an empty edge class");
+  // Both products are positive (p <= 0.5); below 2^63 llround cannot
+  // overflow.
+  const double space = -std::log(ps) * scale;
+  const double time = -std::log(pt) * scale;
+  FTQC_CHECK(space < 0x1p63 && time < 0x1p63,
+             "scaled weights must fit in an integer");
   SpacetimeOptions options;
-  options.space_weight = static_cast<size_t>(
-      std::max<long long>(1, std::llround(-std::log(ps) * scale)));
-  options.time_weight = static_cast<size_t>(
-      std::max<long long>(1, std::llround(-std::log(pt) * scale)));
+  options.space_weight =
+      static_cast<size_t>(std::max<long long>(1, std::llround(space)));
+  options.time_weight =
+      static_cast<size_t>(std::max<long long>(1, std::llround(time)));
   return options;
 }
 

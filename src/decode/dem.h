@@ -80,6 +80,8 @@ class ToricDem {
   // Integer space/time weights w = max(1, round(-log p · scale)) for the
   // matching metric; only the w_space : w_time ratio matters to the decoder,
   // and scale = 16 keeps the quantization error of that ratio under ~1%.
+  // `scale` must be finite and positive, and small enough that both scaled
+  // weights round into a long long (checked).
   [[nodiscard]] SpacetimeOptions weights_at(double eps,
                                             double scale = 16.0) const;
 

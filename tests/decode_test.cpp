@@ -186,6 +186,34 @@ std::vector<size_t> spacetime_weights(const ToricCode& code,
   return weights;
 }
 
+// Adds blossom's pairing of one instance to a pairings fingerprint.
+void add_pairings(Fnv1a& hash, size_t n, const std::vector<size_t>& weights) {
+  const auto pairs = blossom()->match(n, weights);
+  ASSERT_EQ(pairs.size(), n / 2);
+  hash.add(n);
+  for (const Match& m : pairs) hash.add(uint64_t{m.a} << 32 | m.b);
+}
+
+// Upper triangle of an n x n metric with iid weights 0..max_weight.
+std::vector<size_t> random_metric(Rng& rng, size_t n, size_t max_weight) {
+  std::vector<size_t> weights(n * n, 0);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = i + 1; j < n; ++j) {
+      weights[i * n + j] = rng.next_below(max_weight + 1);
+    }
+  }
+  return weights;
+}
+
+// Even sizes 2..max_n and back down, so the per-thread solver buffers grow,
+// shrink and regrow.
+std::vector<size_t> sizes_up_and_down(size_t max_n) {
+  std::vector<size_t> sizes;
+  for (size_t n = 2; n <= max_n; n += 2) sizes.push_back(n);
+  for (size_t n = max_n; n >= 2; n -= 2) sizes.push_back(n);
+  return sizes;
+}
+
 // Costs are not the whole contract: equal-cost pairings can correct a shot
 // differently, and perfbench's exact default-seed counts depend on which
 // pairing blossom returns. This fingerprints the pairings themselves over
@@ -197,26 +225,10 @@ std::vector<size_t> spacetime_weights(const ToricCode& code,
 // constant and perfbench/reference.json.
 TEST(BlossomMatching, PairingsMatchRecordedFingerprint) {
   Fnv1a hash;
-  const auto record = [&](size_t n, const std::vector<size_t>& weights) {
-    const auto pairs = blossom()->match(n, weights);
-    ASSERT_EQ(pairs.size(), n / 2);
-    hash.add(n);
-    for (const Match& m : pairs) hash.add(uint64_t{m.a} << 32 | m.b);
-  };
-
   Rng rng(211);
-  std::vector<size_t> sizes;
-  for (size_t n = 2; n <= 80; n += 2) sizes.push_back(n);
-  for (size_t n = 80; n >= 2; n -= 2) sizes.push_back(n);
   for (const size_t max_weight : {size_t{3}, size_t{50}}) {
-    for (const size_t n : sizes) {
-      std::vector<size_t> weights(n * n, 0);
-      for (size_t i = 0; i < n; ++i) {
-        for (size_t j = i + 1; j < n; ++j) {
-          weights[i * n + j] = rng.next_below(max_weight + 1);
-        }
-      }
-      record(n, weights);
+    for (const size_t n : sizes_up_and_down(80)) {
+      add_pairings(hash, n, random_metric(rng, n, max_weight));
     }
   }
 
@@ -233,7 +245,7 @@ TEST(BlossomMatching, PairingsMatchRecordedFingerprint) {
       site.push_back(static_cast<uint32_t>(s));
     }
     const std::vector<uint32_t> round(site.size(), 0);
-    record(site.size(), spacetime_weights(l16, site, round, 1, 1));
+    add_pairings(hash, site.size(), spacetime_weights(l16, site, round, 1, 1));
   }
 
   const ToricCode l6(6);
@@ -261,10 +273,69 @@ TEST(BlossomMatching, PairingsMatchRecordedFingerprint) {
       }
       prev = measured;
     }
-    record(site.size(), spacetime_weights(l6, site, round, 2, 3));
+    add_pairings(hash, site.size(), spacetime_weights(l6, site, round, 2, 3));
   }
 
   EXPECT_EQ(hash.value(), 0x5516fd4972b03dc6ull);
+}
+
+// Pairings where phases need dual steps. On the tie-heavy families above
+// most phases augment over edges that are already tight; with few ties a
+// phase often runs out of tight edges and adjusts the duals before it
+// augments. Three families: random metrics with weights 0..1000 (n =
+// 2..120, small -> large -> small); 2,000 random metrics at n = 16 with
+// weights 0..5, where a phase can contract an odd cycle of tight edges and
+// still run out of them; and L=6 T=6 circuit-level histories from
+// run_extraction_round at eps 0.01, weighted as toric-circuit's decoder
+// weights them (ToricDem::weights_at(0.01)).
+TEST(BlossomMatching, DualStepPairingsMatchRecordedFingerprint) {
+  Fnv1a hash;
+  Rng rng(227);
+  for (const size_t n : sizes_up_and_down(120)) {
+    add_pairings(hash, n, random_metric(rng, n, 1000));
+  }
+  for (int trial = 0; trial < 2000; ++trial) {
+    add_pairings(hash, 16, random_metric(rng, 16, 5));
+  }
+
+  const ToricCode l6(6);
+  const size_t rounds = 6;
+  const SpacetimeOptions dem_weights =
+      ToricDem::build(l6, ToricSide::kPlaquette).weights_at(0.01);
+  const sim::NoiseParams noise = sim::NoiseParams::uniform_gate(0.01, 0.01);
+  gf2::BitVec measured;
+  for (uint64_t shot = 0; shot < 200; ++shot) {
+    sim::FrameSim sim(l6.num_qubits() + l6.num_plaquettes(), 9100 + shot);
+    ft::StochasticInjector injector(noise);
+    gf2::BitVec prev(l6.num_plaquettes());
+    std::vector<uint32_t> site, round;
+    // T extraction rounds, then the trusted readout of the residual frame.
+    for (size_t t = 0; t <= rounds; ++t) {
+      if (t < rounds) {
+        run_extraction_round(sim, injector, l6, ToricSide::kPlaquette,
+                             measured);
+      } else {
+        gf2::BitVec errors(l6.num_qubits());
+        for (uint32_t q = 0; q < l6.num_qubits(); ++q) {
+          errors.set(q, sim.x_frame().get(q));
+        }
+        measured = l6.plaquette_syndrome(errors);
+      }
+      gf2::BitVec diff = measured;
+      diff ^= prev;
+      for (size_t s = diff.first_set(); s < diff.size();
+           s = diff.next_set(s + 1)) {
+        site.push_back(static_cast<uint32_t>(s));
+        round.push_back(static_cast<uint32_t>(t));
+      }
+      prev = measured;
+    }
+    add_pairings(hash, site.size(),
+                 spacetime_weights(l6, site, round, dem_weights.space_weight,
+                                   dem_weights.time_weight));
+  }
+
+  EXPECT_EQ(hash.value(), 0x0aa5faa77749f106ull) << std::hex << hash.value();
 }
 
 TEST(MatchingEdgeCases, EmptyDefectSetMatchesTrivially) {
@@ -295,6 +366,27 @@ TEST(MatchingDeathTest, SpacetimeDefectListMisuseAborts) {
                "defect site/round lists must be parallel");
   EXPECT_DEATH((void)decoder.decode_defects({0}, {0}),
                "space-time defects come in pairs");
+}
+
+// The duals stay inside int64 only for weights below 2^40. The solver checks
+// the whole metric before it starts; one weight at the cap is enough.
+TEST(MatchingDeathTest, BlossomRejectsWeightsFromTwoToThe40) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  const size_t n = 4;
+  std::vector<size_t> weights(n * n, 1);
+  weights[2 * n + 3] = size_t{1} << 40;
+  EXPECT_DEATH((void)blossom()->match(n, weights),
+               "metric too large for exact matching duals");
+  weights[2 * n + 3] = (size_t{1} << 40) - 1;
+  const auto pairs = blossom()->match(n, weights);
+  ASSERT_EQ(pairs.size(), n / 2);
+  std::vector<int> seen(n, 0);
+  for (const Match& m : pairs) {
+    ++seen[m.a];
+    ++seen[m.b];
+  }
+  EXPECT_EQ(seen, std::vector<int>(n, 1));
+  EXPECT_EQ(matching_cost(pairs, n, weights), 2u);
 }
 
 // The blossom MWPM cost is a global optimum, so it can never exceed the
@@ -612,6 +704,27 @@ TEST(DetectorErrorModel, SingleFaultsFireOnlyNearestNeighborDetectorPairs) {
   const ToricDem star = ToricDem::build(code, ToricSide::kStar);
   EXPECT_EQ(star.counts().far, 0.0);
   EXPECT_GT(star.counts().locations, counts.locations);
+}
+
+// A scale that is not finite and positive, or so large that a weight cannot
+// be rounded to an integer, fails a check instead of collapsing both weights
+// to 1. The default scale's weights are pinned alongside.
+TEST(DetectorErrorModelDeathTest, WeightsAtRejectsScalesThatCannotRound) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  const ToricCode code(4);
+  const ToricDem dem = ToricDem::build(code, ToricSide::kPlaquette);
+  const SpacetimeOptions weights = dem.weights_at(0.01);
+  EXPECT_EQ(weights.space_weight, 65u);
+  EXPECT_EQ(weights.time_weight, 51u);
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double scale : {0.0, -3.0, kNan, kInf}) {
+    EXPECT_DEATH((void)dem.weights_at(0.01, scale),
+                 "weight scale must be finite and positive")
+        << scale;
+  }
+  EXPECT_DEATH((void)dem.weights_at(0.01, 1e300),
+               "scaled weights must fit in an integer");
 }
 
 // The serial extraction round's draws, pinned before the round read its
